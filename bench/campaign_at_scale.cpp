@@ -29,6 +29,7 @@
 #include "impeccable/core/stages/graph_builder.hpp"
 #include "impeccable/hpc/machine.hpp"
 #include "impeccable/obs/json.hpp"
+#include "impeccable/obs/recorder.hpp"
 #include "impeccable/rct/backend.hpp"
 #include "impeccable/rct/entk.hpp"
 #include "impeccable/rct/profiler.hpp"
@@ -52,9 +53,10 @@ struct ScaleRun {
 
 ScaleRun run_campaign(int nodes, int iterations, const stages::ScaleModel& model,
                       bool pipelined) {
+  obs::Recorder rec;
   rct::SimBackend backend(hpc::summit(nodes));
-  rct::ProfiledBackend profiled(backend);
-  rct::AppManager mgr(profiled, {.stage_transition_overhead = 60.0});
+  backend.set_recorder(&rec);
+  rct::AppManager mgr(backend, {.stage_transition_overhead = 60.0});
 
   core::CampaignConfig cfg;
   cfg.iterations = iterations;
@@ -62,7 +64,7 @@ ScaleRun run_campaign(int nodes, int iterations, const stages::ScaleModel& model
 
   auto state = std::make_shared<stages::CampaignState>();
   state->config = &cfg;
-  state->backend = &profiled;
+  state->backend = &backend;
   core::CampaignReport report;
   report.iterations.resize(static_cast<std::size_t>(iterations));
   state->report = &report;
@@ -72,7 +74,7 @@ ScaleRun run_campaign(int nodes, int iterations, const stages::ScaleModel& model
   stages::add_campaign_graph(graph, state, iterations, pipelined);
   mgr.run_graph(std::move(graph));
 
-  const auto prof = profiled.profile();
+  const auto prof = rct::SessionProfile::from_trace(rec.snapshot());
   ScaleRun out;
   out.makespan_s = prof.makespan();
   out.tasks = prof.tasks.size();

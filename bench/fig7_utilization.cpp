@@ -3,12 +3,13 @@
 // property that the overheads (light vertical areas between stages) are
 // invariant to scale.
 //
-// The integrated workflow runs as an EnTK pipeline on the discrete-event
-// Summit model: S3-CG = one whole-node ensemble task per LPC (duration
-// varies per LPC — "each LPC has a different rate of convergence"), S2 = a
-// few multi-node training tasks, S3-FG = 4-node tasks for the selected
-// outlier conformations. We print the utilization series and then repeat the
-// run at 4x scale to show the stage-transition overhead does not grow.
+// The integrated workflow runs as an EnTK pipeline (a three-node stage-graph
+// chain) on the discrete-event Summit model: S3-CG = one whole-node ensemble
+// task per LPC (duration varies per LPC — "each LPC has a different rate of
+// convergence"), S2 = a few multi-node training tasks, S3-FG = 4-node tasks
+// for the selected outlier conformations. We print the utilization series
+// and then repeat the run at 4x scale to show the stage-transition overhead
+// does not grow.
 
 #include <algorithm>
 #include <cstdio>
@@ -39,10 +40,7 @@ RunResult run_integrated(int nodes, int cg_tasks, int fg_tasks,
   rct::AppManager mgr(backend, mopts);
 
   Rng rng(seed);
-  rct::Pipeline p("integrated");
-
-  rct::Stage cg;
-  cg.name = "S3-CG";
+  rct::StageNode cg{.name = "S3-CG", .pipeline = "integrated"};
   for (int i = 0; i < cg_tasks; ++i) {
     rct::TaskDescription t;
     t.name = "cg-" + std::to_string(i);
@@ -51,10 +49,8 @@ RunResult run_integrated(int nodes, int cg_tasks, int fg_tasks,
     t.duration = 1800.0 * rng.uniform(0.7, 1.5);
     cg.tasks.push_back(std::move(t));
   }
-  p.add_stage(std::move(cg));
 
-  rct::Stage s2;
-  s2.name = "S2";
+  rct::StageNode s2{.name = "S2", .pipeline = "integrated"};
   for (int i = 0; i < std::max(1, cg_tasks / 16); ++i) {
     rct::TaskDescription t;
     t.name = "aae-" + std::to_string(i);
@@ -62,10 +58,8 @@ RunResult run_integrated(int nodes, int cg_tasks, int fg_tasks,
     t.duration = 2400.0 * rng.uniform(0.9, 1.2);
     s2.tasks.push_back(std::move(t));
   }
-  p.add_stage(std::move(s2));
 
-  rct::Stage fg;
-  fg.name = "S3-FG";
+  rct::StageNode fg{.name = "S3-FG", .pipeline = "integrated"};
   for (int i = 0; i < fg_tasks; ++i) {
     rct::TaskDescription t;
     t.name = "fg-" + std::to_string(i);
@@ -73,9 +67,12 @@ RunResult run_integrated(int nodes, int cg_tasks, int fg_tasks,
     t.duration = 4000.0 * rng.uniform(0.8, 1.3);
     fg.tasks.push_back(std::move(t));
   }
-  p.add_stage(std::move(fg));
 
-  mgr.run({std::move(p)});
+  rct::StageGraph graph;
+  const auto cg_id = graph.add(std::move(cg));
+  const auto s2_id = graph.add(std::move(s2), {cg_id});
+  graph.add(std::move(fg), {s2_id});
+  mgr.run_graph(std::move(graph));
 
   RunResult out;
   out.series = backend.cluster().utilization();

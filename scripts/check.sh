@@ -24,11 +24,16 @@
 #   6. native preset (-march=native Release): the `dock`-labelled suite —
 #      the batched SIMD scorer's bitwise-equivalence gate must hold under
 #      the widest vectorization the host supports, not just the portable
-#      default codegen.
+#      default codegen;
+#   7. benchmark self-test (perfbench/run.py --self-test): builds the
+#      repository benchmark against the current src/ and runs every
+#      workload against its real and a deliberately wrong reference, so an
+#      API change that breaks the benchmark's build or its ok_frac gates
+#      fails here.
 #
 # Usage: scripts/check.sh [-j N] [-q]
-#   -q  quick: default-preset build, tests, and lint only (skip sanitizers
-#       and the native lane)
+#   -q  quick: default-preset build, tests, and lint only (skip sanitizers,
+#       the native lane and the benchmark self-test)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -112,5 +117,8 @@ cmake --build --preset native -j "$JOBS"
 
 echo "== native: dock-labeled tests (batched-vs-scalar equivalence) =="
 ctest --preset native-dock -j "$JOBS"
+
+echo "== benchmark self-test (perfbench: build + ok_frac gates) =="
+python3 perfbench/run.py --self-test
 
 echo "== all checks passed =="

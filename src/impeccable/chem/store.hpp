@@ -19,8 +19,8 @@
 // validation (header sanity, size and checksum) runs over bounded pread
 // buffers so opening a 10 GB store never faults it resident. Corrupt shards
 // (truncated file, torn header, checksum mismatch) are skipped and counted,
-// matching ml/shards resilience semantics: a billion-ligand sweep survives
-// a bad file, it does not die on it.
+// the paper's resilience to sporadic IO errors (Sec. 6.1.1): a
+// billion-ligand sweep survives a bad file, it does not die on it.
 //
 // The writer is append-only with optional sharded near-duplicate
 // deduplication on canonical-SMILES digests: 256 digest buckets keyed on

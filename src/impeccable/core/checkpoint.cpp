@@ -1,6 +1,8 @@
 #include "impeccable/core/checkpoint.hpp"
 
 #include <fstream>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -18,6 +20,8 @@ void write_checkpoint(const CampaignReport& report, const std::string& path) {
   std::ofstream f(path, std::ios::trunc);
   if (!f) throw std::runtime_error("write_checkpoint: cannot open " + path);
   f << kHeader << "\n";
+  // Enough digits that every double reads back bit-identical on resume.
+  f << std::setprecision(std::numeric_limits<double>::max_digits10);
   for (const auto& [id, rec] : report.compounds) {
     f << rec.id << ',' << rec.smiles << ',' << rec.surrogate_score << ','
       << (rec.docked ? 1 : 0) << ',' << rec.dock_score << ','

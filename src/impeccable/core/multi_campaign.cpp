@@ -38,18 +38,29 @@ MultiCampaignReport MultiCampaign::run() {
   return run(local);
 }
 
-MultiCampaignReport MultiCampaign::run(rct::ExecutionBackend& raw) {
+MultiCampaignReport MultiCampaign::run(rct::ExecutionBackend& backend) {
   MultiCampaignReport out;
 
-  rct::ProfiledBackend backend(raw, exec_.recorder);
+  // Task and stage spans land in the caller's recorder (or a private one) on
+  // the backend clock; detached on every exit so its clock never outlives
+  // this call.
+  obs::Recorder private_rec;
+  obs::Recorder& rec = exec_.recorder ? *exec_.recorder : private_rec;
+  struct RecorderGuard {
+    rct::ExecutionBackend& backend;
+    RecorderGuard(rct::ExecutionBackend& b, obs::Recorder& r) : backend(b) {
+      backend.set_recorder(&r);
+    }
+    ~RecorderGuard() { backend.set_recorder(nullptr); }
+  } recorder_guard(backend, rec);
   // Every instrumented layer below (dock, ml, fe, pool) records through the
   // global recorder; restored on scope exit.
-  obs::ScopedRecorder scoped(&backend.trace_recorder());
+  obs::ScopedRecorder scoped(&rec);
   struct PoolGuard {
     common::ThreadPool* prev;
     explicit PoolGuard(common::ThreadPool* p) : prev(ml::set_compute_pool(p)) {}
     ~PoolGuard() { ml::set_compute_pool(prev); }
-  } pool_guard(raw.compute_pool());
+  } pool_guard(backend.compute_pool());
 
   out.reports.resize(entries_.size());
   std::vector<std::shared_ptr<stages::CampaignState>> states;
@@ -111,9 +122,9 @@ MultiCampaignReport MultiCampaign::run(rct::ExecutionBackend& raw) {
   rct::AppManager manager(backend, mopts);
   out.graph = manager.run_graph(std::move(graph));
 
-  if (common::ThreadPool* pool = raw.compute_pool())
-    obs::publish_pool_metrics(*pool, backend.trace_recorder().metrics());
-  out.profile = backend.profile();
+  if (common::ThreadPool* pool = backend.compute_pool())
+    obs::publish_pool_metrics(*pool, rec.metrics());
+  out.profile = rct::SessionProfile::from_trace(rec.snapshot());
   for (CampaignReport& r : out.reports) r.profile = out.profile;
   return out;
 }

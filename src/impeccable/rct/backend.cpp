@@ -19,6 +19,12 @@ const char* to_string(TaskState s) {
 
 // ---------------------------------------------------- ExecutionBackend (obs)
 
+void ExecutionBackend::set_recorder(obs::Recorder* rec) {
+  if (recorder_ && recorder_ != rec) recorder_->set_clock({});
+  recorder_ = rec;
+  if (rec) rec->set_clock([this] { return now(); });
+}
+
 void ExecutionBackend::record_task(const TaskResult& result,
                                    double submit_time, int cpus, int gpus,
                                    int whole_nodes) {

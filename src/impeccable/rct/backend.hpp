@@ -48,11 +48,14 @@ class ExecutionBackend {
   /// Attach a span recorder: the backend emits one cat::kTask span per task
   /// (name, submit/start/end on this backend's clock, resources, failure)
   /// and higher layers (AppManager stage spans) record through it too.
-  /// Null (the default) disables task tracing. Not owned; the recorder must
-  /// outlive recorded activity. The span clock is the recorder's clock —
-  /// wire it to now() (ProfiledBackend does this) so SimBackend traces are
+  /// Attaching wires the recorder's clock to now(), so SimBackend traces are
   /// in virtual time and LocalBackend traces in wall time, one schema.
-  virtual void set_recorder(obs::Recorder* rec) { recorder_ = rec; }
+  /// Null (the default) disables task tracing and restores the previously
+  /// attached recorder's own clock. Not owned: the recorder must outlive
+  /// recorded activity, and a recorder still used after this backend dies
+  /// must be detached first. Attach and detach while no spans are live
+  /// (Recorder::set_clock is not synchronized).
+  virtual void set_recorder(obs::Recorder* rec);
   obs::Recorder* recorder() const { return recorder_; }
 
  protected:

@@ -34,74 +34,33 @@ double StageGraph::priority(NodeId id) const {
 AppManager::AppManager(ExecutionBackend& backend, const AppManagerOptions& opts)
     : backend_(backend), opts_(opts) {}
 
-void AppManager::chain_head(StageGraph& graph,
-                            const std::shared_ptr<Pipeline>& pipe, NodeId dep) {
-  if (pipe->stages_.empty()) return;
-  Stage head = std::move(pipe->stages_.front());
-  pipe->stages_.pop_front();
-
-  StageNode node;
-  node.name = std::move(head.name);
-  node.pipeline = pipe->name();
-  node.tasks = std::move(head.tasks);
-  // The node needs its own id inside its post_exec (to chain the successor
-  // after itself); the id only exists after add(), so route it through a
-  // shared slot.
-  auto self = std::make_shared<NodeId>(kNoNode);
-  auto post = std::move(head.post_exec);
-  node.post_exec = [this, pipe, self, post = std::move(post)](StageGraph& g) {
-    if (post) post(*pipe);
-    chain_head(g, pipe, *self);
-  };
-  *self = graph.add(std::move(node),
-                    dep == kNoNode ? std::vector<NodeId>{}
-                                   : std::vector<NodeId>{dep});
-}
-
-GraphRunReport AppManager::run(std::vector<Pipeline> pipelines) {
-  StageGraph graph;
-  for (auto& p : pipelines)
-    chain_head(graph, std::make_shared<Pipeline>(std::move(p)), kNoNode);
-  return run_graph(std::move(graph));
-}
-
 GraphRunReport AppManager::run_graph(StageGraph graph) {
-  retries_ = 0;
-  makespan_ = 0.0;
   auto g = std::make_shared<GraphRun>(std::move(graph));
   std::vector<NodeId> ready;
   {
     std::lock_guard lock(mutex_);
-    results_.clear();
     ready = integrate_locked(*g);
   }
   for (NodeId id : ready) schedule(g, id);
   backend_.drain();
 
-  GraphRunReport report;
-  {
-    std::lock_guard lock(mutex_);
-    report.results = std::move(results_);
-    results_.clear();
-    report.retries = retries_;
-    report.makespan = makespan_;
-    report.nodes.reserve(g->states.size());
-    for (NodeId id = 0; id < g->states.size(); ++id) {
-      const NodeState& st = g->states[id];
-      const StageNode& node = g->graph.nodes_[id].node;
-      NodeReport nr;
-      nr.name = node.name;
-      nr.pipeline = node.pipeline;
-      nr.priority = st.priority;
-      nr.ready = st.ready;
-      nr.begin = st.begin;
-      nr.end = st.end;
-      nr.tasks = st.task_count;
-      report.nodes.push_back(std::move(nr));
-    }
+  std::lock_guard lock(mutex_);
+  GraphRunReport& report = g->report;
+  report.nodes.reserve(g->states.size());
+  for (NodeId id = 0; id < g->states.size(); ++id) {
+    const NodeState& st = g->states[id];
+    const StageNode& node = g->graph.nodes_[id].node;
+    NodeReport nr;
+    nr.name = node.name;
+    nr.pipeline = node.pipeline;
+    nr.priority = st.priority;
+    nr.ready = st.ready;
+    nr.begin = st.begin;
+    nr.end = st.end;
+    nr.tasks = st.task_count;
+    report.nodes.push_back(std::move(nr));
   }
-  last_ = std::move(report);
-  return last_;
+  return std::move(report);
 }
 
 std::vector<NodeId> AppManager::integrate_locked(GraphRun& g) {
@@ -125,8 +84,9 @@ void AppManager::schedule(const std::shared_ptr<GraphRun>& g, NodeId id) {
     std::lock_guard lock(mutex_);
     g->states[id].ready = backend_.now();
   }
-  // Dependency-free roots enter the launch queue immediately (the PST first
-  // stage); everything downstream pays the fixed stage-transition overhead.
+  // Dependency-free roots enter the launch queue immediately (a pipeline's
+  // first stage); everything downstream pays the fixed stage-transition
+  // overhead.
   if (g->graph.nodes_[id].deps.empty()) {
     enqueue_ready(g, id);
   } else {
@@ -139,7 +99,7 @@ void AppManager::enqueue_ready(const std::shared_ptr<GraphRun>& g, NodeId id) {
   bool need_drain = false;
   {
     std::lock_guard lock(mutex_);
-    g->launch_queue.push_back(ReadyEntry{id, g->ready_seq++});
+    g->launch_queue.push_back(id);
     need_drain = !g->drain_pending;
     g->drain_pending = true;
   }
@@ -150,7 +110,7 @@ void AppManager::enqueue_ready(const std::shared_ptr<GraphRun>& g, NodeId id) {
 
 void AppManager::drain_ready(const std::shared_ptr<GraphRun>& g) {
   struct Launch {
-    ReadyEntry entry;
+    NodeId id = 0;
     double priority = 0.0;
   };
   std::vector<Launch> batch;
@@ -161,10 +121,11 @@ void AppManager::drain_ready(const std::shared_ptr<GraphRun>& g) {
     std::lock_guard lock(mutex_);
     g->drain_pending = false;
     batch.reserve(g->launch_queue.size());
-    for (const ReadyEntry& e : g->launch_queue)
-      batch.push_back(Launch{e, g->graph.nodes_[e.id].node.priority});
+    for (NodeId id : g->launch_queue)
+      batch.push_back(Launch{id, g->graph.nodes_[id].node.priority});
     g->launch_queue.clear();
   }
+  // stable_sort keeps arrival order within a priority level.
   if (opts_.ready_order == AppManagerOptions::ReadyOrder::kPriority)
     std::stable_sort(batch.begin(), batch.end(),
                      [](const Launch& a, const Launch& b) {
@@ -172,7 +133,7 @@ void AppManager::drain_ready(const std::shared_ptr<GraphRun>& g) {
                      });
   const bool stamp =
       opts_.ready_order == AppManagerOptions::ReadyOrder::kPriority;
-  for (const Launch& l : batch) start_node(g, l.entry.id, l.priority, stamp);
+  for (const Launch& l : batch) start_node(g, l.id, l.priority, stamp);
 }
 
 void AppManager::start_node(const std::shared_ptr<GraphRun>& g, NodeId id,
@@ -214,7 +175,7 @@ void AppManager::submit_task(const std::shared_ptr<GraphRun>& g, NodeId id,
                     if (!result.ok && attempt < opts_.max_retries) {
                       {
                         std::lock_guard lock(mutex_);
-                        ++retries_;
+                        ++g->report.retries;
                       }
                       submit_task(g, id, task, attempt + 1);
                       return;
@@ -229,8 +190,8 @@ void AppManager::on_task_done(const std::shared_ptr<GraphRun>& g, NodeId id,
   {
     std::lock_guard lock(mutex_);
     if (!result.name.empty() || result.end_time > 0.0)
-      results_.push_back(result);
-    makespan_ = std::max(makespan_, result.end_time);
+      g->report.results.push_back(result);
+    g->report.makespan = std::max(g->report.makespan, result.end_time);
     NodeState& st = g->states[id];
     if (st.outstanding > 0) --st.outstanding;
     node_complete = st.outstanding == 0;

@@ -1,24 +1,16 @@
 #pragma once
-// EnTK — the Ensemble Toolkit PST (Pipeline, Stage, Task) programming model
-// (Sec. 5.2.1), generalized to an explicit stage graph.
+// EnTK — the Ensemble Toolkit execution model (Sec. 5.2.1) as an explicit
+// stage graph.
 //
-// Tasks without mutual ordering share a stage; stages execute sequentially
-// within a pipeline; pipelines run concurrently, each progressing at its own
-// pace. A stage's post_exec callback runs when the stage completes and may
-// append further stages to its pipeline — the adaptivity hook that drives
-// the iterative (S3-CG)-(S2)-(S3-FG) loop and "selects parameters at
-// runtime" for cost/accuracy trade-offs.
-//
-// The StageGraph drops the strict PST sequence: stages declare explicit
-// dependencies on other stages — within one pipeline, across pipelines, or
-// across campaign iterations — and AppManager::run_graph() executes every
-// stage as soon as its dependencies have completed (and their post_execs
-// ran). The classic PST pipeline is the linear-chain special case:
-// AppManager::run() translates each Pipeline into a chain of graph nodes,
-// preserving retries, the fixed stage-transition overhead, adaptive
-// post_exec appends, and the per-stage obs spans.
+// Stages declare dependencies on other stages — within one pipeline, across
+// pipelines, or across campaign iterations — and AppManager::run_graph()
+// executes every stage as soon as its dependencies have completed (and their
+// post_execs ran). The paper's PST (Pipeline, Stage, Task) model is the
+// linear-chain special case: a pipeline is a chain of nodes sharing one
+// `pipeline` label, each added with its predecessor as the only dependency,
+// and EnTK's adaptive post-execution hook is a post_exec that add()s further
+// nodes — the mechanism behind the iterative (S3-CG)-(S2)-(S3-FG) loop.
 
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -32,30 +24,7 @@
 
 namespace impeccable::rct {
 
-class Pipeline;
 class StageGraph;
-
-struct Stage {
-  std::string name;
-  std::vector<TaskDescription> tasks;
-  /// Runs after every task of the stage finished; may mutate the pipeline
-  /// (append stages) — EnTK's adaptive post-execution hook.
-  std::function<void(Pipeline&)> post_exec;
-};
-
-class Pipeline {
- public:
-  explicit Pipeline(std::string name) : name_(std::move(name)) {}
-
-  const std::string& name() const { return name_; }
-  void add_stage(Stage stage) { stages_.push_back(std::move(stage)); }
-  std::size_t remaining_stages() const { return stages_.size(); }
-
- private:
-  friend class AppManager;
-  std::string name_;
-  std::deque<Stage> stages_;
-};
 
 /// Index of a stage node inside a StageGraph.
 using NodeId = std::size_t;
@@ -66,18 +35,18 @@ inline constexpr NodeId kNoNode = ~NodeId{0};
 /// graph equivalent of building the next stage inside a post_exec, needed
 /// when a stage's task list depends on upstream results.
 struct StageNode {
-  std::string name;
+  std::string name{};
   /// Grouping label for the obs stage span ("pipeline" arg); also the span
-  /// name when `name` is empty, mirroring PST pipelines.
-  std::string pipeline;
-  std::vector<TaskDescription> tasks;
+  /// name when `name` is empty.
+  std::string pipeline{};
+  std::vector<TaskDescription> tasks{};
   /// Lazy task construction: invoked when the node becomes ready, right
   /// before submission; the returned tasks are appended to `tasks`.
-  std::function<std::vector<TaskDescription>()> build;
+  std::function<std::vector<TaskDescription>()> build{};
   /// Runs once all tasks of this node finished; may add() further nodes to
   /// the graph (adaptivity). The engine serializes post_exec callbacks —
   /// they never run concurrently, so shared-state merges need no locking.
-  std::function<void(StageGraph&)> post_exec;
+  std::function<void(StageGraph&)> post_exec{};
   /// Scheduling priority (higher first). Under AppManagerOptions::ReadyOrder
   /// ::kPriority, ready nodes launch in priority order and the node priority
   /// is added onto every task's own priority, so backend queues prefer
@@ -149,11 +118,7 @@ struct NodeReport {
   double ready_wait() const { return begin - ready; }
 };
 
-/// Everything one run/run_graph call produced. Replaces the old accessor
-/// soup (tasks_completed()/tasks_failed()/... silently reflected only the
-/// last run); the report is a value you can keep. It iterates like the plain
-/// result vector the API used to return, so existing call sites that only
-/// ranged/sized the results keep compiling.
+/// Everything one run_graph call produced; a value you can keep.
 struct GraphRunReport {
   std::vector<TaskResult> results;  ///< every task result, completion order
   std::vector<NodeReport> nodes;    ///< per graph node, id order
@@ -167,29 +132,14 @@ struct GraphRunReport {
   /// Log-spaced histogram of ready-queue waits: (upper_edge_seconds, count)
   /// pairs; the first bucket also absorbs zero/negative waits.
   std::vector<std::pair<double, std::size_t>> ready_wait_histogram() const;
-
-  // Result-vector compatibility surface.
-  using const_iterator = std::vector<TaskResult>::const_iterator;
-  const_iterator begin() const { return results.begin(); }
-  const_iterator end() const { return results.end(); }
-  std::size_t size() const { return results.size(); }
-  bool empty() const { return results.empty(); }
-  const TaskResult& operator[](std::size_t i) const { return results[i]; }
-  const TaskResult& front() const { return results.front(); }
-  const TaskResult& back() const { return results.back(); }
 };
 
-/// Executes PST pipelines or an explicit stage graph on a backend (the EnTK
-/// AppManager).
+/// Executes a stage graph on a backend (the EnTK AppManager). Keeps no state
+/// between runs: everything a run produced is in its GraphRunReport.
 class AppManager {
  public:
   explicit AppManager(ExecutionBackend& backend,
                       const AppManagerOptions& opts = {});
-
-  /// Run all pipelines to completion (blocking). Implemented as the
-  /// linear-chain special case of run_graph(): each stage becomes a node
-  /// depending on its predecessor.
-  GraphRunReport run(std::vector<Pipeline> pipelines);
 
   /// Run a stage graph to completion (blocking). Every node launches once
   /// all its dependencies completed (post_exec included), plus the fixed
@@ -197,13 +147,6 @@ class AppManager {
   /// queue in ReadyOrder; independent nodes execute concurrently on the
   /// backend.
   GraphRunReport run_graph(StageGraph graph);
-
-  /// \deprecated Statistics of the last run — prefer the GraphRunReport
-  /// value returned by run()/run_graph(); these delegate to the last report.
-  std::size_t tasks_completed() const { return last_.results.size(); }
-  std::size_t tasks_failed() const { return last_.failed(); }
-  std::size_t tasks_retried() const { return last_.retries; }
-  double makespan() const { return last_.makespan; }
 
  private:
   struct NodeState {
@@ -216,10 +159,6 @@ class AppManager {
     double priority = 0.0;        ///< priority the node launched with
     std::size_t task_count = 0;   ///< submitted task count (span arg)
   };
-  struct ReadyEntry {
-    NodeId id = 0;
-    std::uint64_t seq = 0;  ///< arrival order, the tie-break within a level
-  };
   struct GraphRun {
     StageGraph graph;
     std::vector<NodeState> states;
@@ -227,9 +166,11 @@ class AppManager {
     /// Nodes past their transition overhead, waiting for the next launch
     /// drain (one drain event services all same-instant arrivals, so
     /// priority order is decided over the whole wave, not arrival order).
-    std::vector<ReadyEntry> launch_queue;
+    std::vector<NodeId> launch_queue;
     bool drain_pending = false;
-    std::uint64_t ready_seq = 0;
+    /// Task results, retries and makespan accumulate here; run_graph adds
+    /// the per-node timings and returns it.
+    GraphRunReport report;
     explicit GraphRun(StageGraph g) : graph(std::move(g)) {}
   };
 
@@ -250,21 +191,14 @@ class AppManager {
   void on_task_done(const std::shared_ptr<GraphRun>& g, NodeId id,
                     const TaskResult& result);
   void complete_node(const std::shared_ptr<GraphRun>& g, NodeId id);
-  /// Pop the head stage of `pipe` into a graph node chained after `dep`.
-  void chain_head(StageGraph& graph, const std::shared_ptr<Pipeline>& pipe,
-                  NodeId dep);
 
   ExecutionBackend& backend_;
   AppManagerOptions opts_;
   common::OrderedMutex<common::lockrank::EngineState>
-      mutex_;  ///< results + node states + launch queue
+      mutex_;  ///< run report + node states + launch queue
   common::OrderedMutex<common::lockrank::EnginePost>
       post_mutex_;  ///< serializes post_exec callbacks + graph adds
                            ///< + node-priority reads at launch drain
-  std::vector<TaskResult> results_;
-  std::size_t retries_ = 0;
-  double makespan_ = 0.0;
-  GraphRunReport last_;  ///< backs the deprecated accessors
 };
 
 }  // namespace impeccable::rct

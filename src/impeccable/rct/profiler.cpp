@@ -7,6 +7,7 @@
 
 #include "impeccable/obs/csv.hpp"
 #include "impeccable/obs/json.hpp"
+#include "impeccable/obs/recorder.hpp"
 
 namespace impeccable::rct {
 
@@ -25,28 +26,6 @@ std::string str_arg(const obs::SpanRecord& span, std::string_view key) {
 }
 
 }  // namespace
-
-ProfiledBackend::ProfiledBackend(ExecutionBackend& inner,
-                                 obs::Recorder* recorder)
-    : inner_(inner),
-      owned_(recorder ? nullptr : std::make_unique<obs::Recorder>()),
-      rec_(recorder ? recorder : owned_.get()) {
-  rec_->set_clock([&inner] { return inner.now(); });
-  inner_.set_recorder(rec_);
-  recorder_ = rec_;  // layers driving the decorator (AppManager) see it too
-}
-
-ProfiledBackend::~ProfiledBackend() {
-  recorder_ = nullptr;
-  inner_.set_recorder(nullptr);
-  // The clock closure captures inner_; drop it before the capture can
-  // dangle (only matters for borrowed recorders that outlive us).
-  rec_->set_clock({});
-}
-
-SessionProfile ProfiledBackend::profile() const {
-  return SessionProfile::from_trace(rec_->snapshot());
-}
 
 SessionProfile SessionProfile::from_trace(const obs::Trace& trace) {
   SessionProfile out;

@@ -7,17 +7,18 @@
 // Since the obs:: redesign this is a VIEW over span traces, not a separate
 // recording channel: backends emit one obs::cat::kTask span per task and
 // SessionProfile::from_trace() reconstructs the per-task records from a
-// flushed obs::Trace. ProfiledBackend survives as a thin decorator that owns
-// (or borrows) an obs::Recorder, wires its clock to the inner backend's
-// now(), and attaches it — existing call sites keep compiling unchanged.
+// flushed obs::Trace. To profile a run, attach a recorder to the backend
+// (ExecutionBackend::set_recorder, which also puts the recorder on the
+// backend clock), run, detach, and read
+// SessionProfile::from_trace(rec.snapshot()).
 
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "impeccable/obs/recorder.hpp"
-#include "impeccable/rct/backend.hpp"
+namespace impeccable::obs {
+struct Trace;
+}  // namespace impeccable::obs
 
 namespace impeccable::rct {
 
@@ -61,41 +62,6 @@ struct SessionProfile {
   /// Fraction of the makespan during which nothing executed (the "light
   /// vertical areas" of Fig. 7).
   double idle_fraction() const;
-};
-
-/// Decorator attaching an obs::Recorder to any backend. Deprecated as a
-/// recording mechanism — backends record through obs directly; this remains
-/// for call sites that want a one-liner `profile()` without owning a
-/// Recorder themselves.
-class ProfiledBackend : public ExecutionBackend {
- public:
-  /// Wraps `inner`, wiring `recorder`'s clock to inner.now() and attaching
-  /// it so the inner backend emits task spans into it. A null `recorder`
-  /// means this decorator owns a private one.
-  explicit ProfiledBackend(ExecutionBackend& inner,
-                           obs::Recorder* recorder = nullptr);
-  ~ProfiledBackend() override;
-
-  void submit(TaskDescription task, CompletionCallback on_complete) override {
-    inner_.submit(std::move(task), std::move(on_complete));
-  }
-  void after(double delay, std::function<void()> fn) override {
-    inner_.after(delay, std::move(fn));
-  }
-  void drain() override { inner_.drain(); }
-  double now() override { return inner_.now(); }
-  common::ThreadPool* compute_pool() override { return inner_.compute_pool(); }
-
-  /// The recorder task spans land in (owned or borrowed).
-  obs::Recorder& trace_recorder() { return *rec_; }
-
-  /// Snapshot of everything recorded so far.
-  SessionProfile profile() const;
-
- private:
-  ExecutionBackend& inner_;
-  std::unique_ptr<obs::Recorder> owned_;  ///< null when borrowing
-  obs::Recorder* rec_ = nullptr;
 };
 
 }  // namespace impeccable::rct

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 
@@ -75,6 +78,43 @@ TEST(Checkpoint, RoundTripsRecords) {
   EXPECT_FALSE(rb.docked);
   EXPECT_TRUE(rb.fg_energies.empty());
   std::filesystem::remove(path);
+}
+
+TEST(Checkpoint, RoundTripIsBitwiseLossless) {
+  // Values that need more than the stream default of 6 significant digits:
+  // every double field must read back with the identical bit pattern.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  core::CampaignReport report;
+  for (int i = 0; i < 8; ++i) {
+    core::CompoundRecord r;
+    r.id = "L-" + std::to_string(i);
+    r.smiles = "CCO";
+    r.surrogate_score = 1.0 / (3.0 + i);
+    r.docked = true;
+    r.dock_score = -86.78881234567891 - 0.1 * i;
+    r.cg_done = true;
+    r.cg_energy = -std::sqrt(2.0) * (40.0 + i);
+    r.cg_error = 0.1 + 0.2 * i;
+    r.fg_energies = {-std::exp(3.5 + 0.01 * i), std::nextafter(-33.5, 0.0)};
+    report.compounds[r.id] = r;
+  }
+
+  const auto path = tmp("imp_ckpt_lossless.csv");
+  core::write_checkpoint(report, path.string());
+  const auto back = core::read_checkpoint(path.string());
+  std::filesystem::remove(path);
+
+  ASSERT_EQ(back.size(), report.compounds.size());
+  for (const auto& [id, want] : report.compounds) {
+    const core::CompoundRecord& got = back.at(id);
+    EXPECT_EQ(bits(got.surrogate_score), bits(want.surrogate_score)) << id;
+    EXPECT_EQ(bits(got.dock_score), bits(want.dock_score)) << id;
+    EXPECT_EQ(bits(got.cg_energy), bits(want.cg_energy)) << id;
+    EXPECT_EQ(bits(got.cg_error), bits(want.cg_error)) << id;
+    ASSERT_EQ(got.fg_energies.size(), want.fg_energies.size()) << id;
+    for (std::size_t k = 0; k < want.fg_energies.size(); ++k)
+      EXPECT_EQ(bits(got.fg_energies[k]), bits(want.fg_energies[k])) << id;
+  }
 }
 
 TEST(Checkpoint, RejectsMalformedFiles) {

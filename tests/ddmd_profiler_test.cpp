@@ -5,12 +5,14 @@
 
 #include "impeccable/core/deepdrivemd.hpp"
 #include "impeccable/md/system.hpp"
+#include "impeccable/obs/recorder.hpp"
 #include "impeccable/rct/backend.hpp"
 #include "impeccable/rct/entk.hpp"
 #include "impeccable/rct/profiler.hpp"
 
 namespace core = impeccable::core;
 namespace md = impeccable::md;
+namespace obs = impeccable::obs;
 namespace rct = impeccable::rct;
 namespace hpc = impeccable::hpc;
 
@@ -89,8 +91,9 @@ TEST(DeepDriveMd, CoverageHelperDegenerateInputs) {
 // ---------------------------------------------------------------- profiler
 
 TEST(Profiler, RecordsSubmitStartEnd) {
-  rct::SimBackend inner(hpc::test_machine(1));
-  rct::ProfiledBackend backend(inner);
+  obs::Recorder rec;
+  rct::SimBackend backend(hpc::test_machine(1));
+  backend.set_recorder(&rec);
 
   for (int i = 0; i < 8; ++i) {  // 8 tasks on 6 GPUs -> 2 must queue
     rct::TaskDescription t;
@@ -101,7 +104,7 @@ TEST(Profiler, RecordsSubmitStartEnd) {
   }
   backend.drain();
 
-  const auto prof = backend.profile();
+  const auto prof = rct::SessionProfile::from_trace(rec.snapshot());
   ASSERT_EQ(prof.tasks.size(), 8u);
   for (const auto& r : prof.tasks) {
     EXPECT_GE(r.start_time, r.submit_time);
@@ -118,22 +121,23 @@ TEST(Profiler, RecordsSubmitStartEnd) {
 }
 
 TEST(Profiler, ConcurrencyTimelineAndIdleFraction) {
-  rct::SimBackend inner(hpc::test_machine(2));
-  rct::ProfiledBackend backend(inner);
+  obs::Recorder rec;
+  rct::SimBackend backend(hpc::test_machine(2));
+  backend.set_recorder(&rec);
   rct::AppManager mgr(backend, {.stage_transition_overhead = 10.0});
 
-  rct::Pipeline p("two-stage");
   rct::TaskDescription a;
   a.name = "a";
   a.gpus = 1;
   a.duration = 10.0;
   rct::TaskDescription b = a;
   b.name = "b";
-  p.add_stage({"s1", {a}, nullptr});
-  p.add_stage({"s2", {b}, nullptr});
-  mgr.run({std::move(p)});
+  rct::StageGraph g;
+  const auto s1 = g.add({.name = "s1", .pipeline = "two-stage", .tasks = {a}});
+  g.add({.name = "s2", .pipeline = "two-stage", .tasks = {b}}, {s1});
+  mgr.run_graph(std::move(g));
 
-  const auto prof = backend.profile();
+  const auto prof = rct::SessionProfile::from_trace(rec.snapshot());
   ASSERT_EQ(prof.tasks.size(), 2u);
   // The 10 s stage gap shows up as idle time.
   EXPECT_GT(prof.idle_fraction(), 0.2);
@@ -147,8 +151,9 @@ TEST(Profiler, ConcurrencyTimelineAndIdleFraction) {
 }
 
 TEST(Profiler, WorksOnLocalBackend) {
-  rct::LocalBackend inner(2);
-  rct::ProfiledBackend backend(inner);
+  obs::Recorder rec;
+  rct::LocalBackend backend(2);
+  backend.set_recorder(&rec);
   rct::TaskDescription t;
   t.name = "work";
   t.payload = [] {
@@ -157,16 +162,17 @@ TEST(Profiler, WorksOnLocalBackend) {
   };
   backend.submit(t, [](const rct::TaskResult&) {});
   backend.drain();
-  const auto prof = backend.profile();
+  const auto prof = rct::SessionProfile::from_trace(rec.snapshot());
   ASSERT_EQ(prof.tasks.size(), 1u);
   EXPECT_GE(prof.tasks[0].runtime(), 0.0);
   EXPECT_GE(prof.mean_queue_wait(), 0.0);
 }
 
 TEST(Profiler, EmptyProfileIsSafe) {
-  rct::SimBackend inner(hpc::test_machine(1));
-  rct::ProfiledBackend backend(inner);
-  const auto prof = backend.profile();
+  obs::Recorder rec;
+  rct::SimBackend backend(hpc::test_machine(1));
+  backend.set_recorder(&rec);
+  const auto prof = rct::SessionProfile::from_trace(rec.snapshot());
   EXPECT_EQ(prof.makespan(), 0.0);
   EXPECT_EQ(prof.peak_concurrency(), 0);
   EXPECT_EQ(prof.idle_fraction(), 0.0);

@@ -197,7 +197,6 @@ TEST(PilotWalltime, AppManagerRetriesAcrossPilots) {
   mopts.stage_transition_overhead = 0.0;
   rct::AppManager mgr(backend, mopts);
 
-  rct::Pipeline p("walltime");
   rct::TaskDescription blocker;  // occupies the pilot for 6 s first
   blocker.name = "blocker";
   blocker.gpus = 6;
@@ -207,11 +206,14 @@ TEST(PilotWalltime, AppManagerRetriesAcrossPilots) {
   work.name = "work";
   work.gpus = 1;
   work.duration = 8.0;
-  p.add_stage({"s1", {blocker}, nullptr});
-  p.add_stage({"s2", {work}, nullptr});
+  rct::StageGraph g;
+  const auto s1 =
+      g.add({.name = "s1", .pipeline = "walltime", .tasks = {blocker}});
+  g.add({.name = "s2", .pipeline = "walltime", .tasks = {work}}, {s1});
 
-  const auto results = mgr.run({std::move(p)});
-  ASSERT_EQ(results.size(), 2u);
-  for (const auto& r : results) EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
-  EXPECT_EQ(mgr.tasks_retried(), 1u);
+  const auto report = mgr.run_graph(std::move(g));
+  ASSERT_EQ(report.results.size(), 2u);
+  for (const auto& r : report.results)
+    EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
+  EXPECT_EQ(report.retries, 1u);
 }

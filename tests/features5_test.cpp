@@ -10,11 +10,13 @@
 #include "impeccable/chem/smiles.hpp"
 #include "impeccable/common/vec3.hpp"
 #include "impeccable/ml/aae.hpp"
+#include "impeccable/obs/recorder.hpp"
 #include "impeccable/rct/backend.hpp"
 #include "impeccable/rct/profiler.hpp"
 
 namespace chem = impeccable::chem;
 namespace ml = impeccable::ml;
+namespace obs = impeccable::obs;
 namespace rct = impeccable::rct;
 namespace hpc = impeccable::hpc;
 using impeccable::common::Vec3;
@@ -115,8 +117,9 @@ TEST(AaeWeights, SaveLoadReproducesEmbeddings) {
 // ---------------------------------------------------------------- profile CSV
 
 TEST(ProfileCsv, WritesOneRowPerTask) {
-  rct::SimBackend inner(hpc::test_machine(1));
-  rct::ProfiledBackend backend(inner);
+  obs::Recorder rec;
+  rct::SimBackend backend(hpc::test_machine(1));
+  backend.set_recorder(&rec);
   for (int i = 0; i < 3; ++i) {
     rct::TaskDescription t;
     t.name = "t" + std::to_string(i);
@@ -127,7 +130,7 @@ TEST(ProfileCsv, WritesOneRowPerTask) {
   backend.drain();
 
   const auto path = std::filesystem::temp_directory_path() / "imp_profile.csv";
-  backend.profile().write_csv(path.string());
+  rct::SessionProfile::from_trace(rec.snapshot()).write_csv(path.string());
   std::ifstream f(path);
   std::string line;
   int rows = 0;

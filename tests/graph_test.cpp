@@ -13,7 +13,6 @@
 #include "impeccable/obs/recorder.hpp"
 #include "impeccable/rct/backend.hpp"
 #include "impeccable/rct/entk.hpp"
-#include "impeccable/rct/profiler.hpp"
 
 namespace hpc = impeccable::hpc;
 namespace obs = impeccable::obs;
@@ -66,7 +65,7 @@ TEST(StageGraph, DiamondDependenciesJoinBeforeTheSink) {
   const auto c = g.add(node_of("c", {sim_task("c", 2)}, track("c")), {a});
   g.add(node_of("d", {sim_task("d", 1)}, track("d")), {b, c});
 
-  const auto results = mgr.run_graph(std::move(g));
+  const auto results = mgr.run_graph(std::move(g)).results;
   ASSERT_EQ(results.size(), 4u);
   double b_start = 0, c_start = 0, bc_end = 0, d_start = 1e18;
   for (const auto& r : results) {
@@ -105,7 +104,7 @@ TEST(StageGraph, LazyBuildRunsAfterDependenciesMerged) {
   };
   g.add(std::move(consumer), {src});
 
-  const auto results = mgr.run_graph(std::move(g));
+  const auto results = mgr.run_graph(std::move(g)).results;
   EXPECT_EQ(results.size(), 4u);  // seed + 3 built jobs
 }
 
@@ -125,7 +124,7 @@ TEST(StageGraph, PostExecAppendsNodesDuringExecution) {
   };
   rct::StageGraph g;
   g.add(node_of("r0", {sim_task("r0", 1)}, extend));
-  const auto results = mgr.run_graph(std::move(g));
+  const auto results = mgr.run_graph(std::move(g)).results;
   EXPECT_EQ(rounds, 4);
   EXPECT_EQ(results.size(), 4u);
 }
@@ -139,7 +138,7 @@ TEST(StageGraph, EmptyNodesCompleteAndUnblockDependents) {
   g.add(node_of("after", {sim_task("t", 1)},
                 [&](rct::StageGraph&) { merged = true; }),
         {a});
-  const auto results = mgr.run_graph(std::move(g));
+  const auto results = mgr.run_graph(std::move(g)).results;
   EXPECT_TRUE(merged);
   EXPECT_EQ(results.size(), 1u);  // the empty node records no results
 }
@@ -162,13 +161,13 @@ TEST(StageGraph, FailedTasksRetryThenPropagate) {
   g.add(node_of("after", {sim_task("after", 1)},
                 [&](rct::StageGraph&) { downstream_ran = true; }),
         {a});
-  const auto results = mgr.run_graph(std::move(g));
+  const auto report = mgr.run_graph(std::move(g));
 
   EXPECT_EQ(attempts, 3);  // two retries, third attempt succeeds
-  EXPECT_EQ(mgr.tasks_retried(), 2u);
-  EXPECT_EQ(mgr.tasks_failed(), 0u);
+  EXPECT_EQ(report.retries, 2u);
+  EXPECT_EQ(report.failed(), 0u);
   EXPECT_TRUE(downstream_ran);
-  EXPECT_EQ(results.size(), 2u);
+  EXPECT_EQ(report.results.size(), 2u);
 
   // Retries exhausted: the failure is recorded and the graph still drains.
   rct::TaskDescription doomed;
@@ -183,9 +182,9 @@ TEST(StageGraph, FailedTasksRetryThenPropagate) {
   g2.add(node_of("after", {sim_task("after", 1)},
                  [&](rct::StageGraph&) { after_failure = true; }),
          {d});
-  mgr2.run_graph(std::move(g2));
-  EXPECT_EQ(mgr2.tasks_retried(), 1u);
-  EXPECT_EQ(mgr2.tasks_failed(), 1u);
+  const auto report2 = mgr2.run_graph(std::move(g2));
+  EXPECT_EQ(report2.retries, 1u);
+  EXPECT_EQ(report2.failed(), 1u);
   EXPECT_TRUE(after_failure);
 }
 
@@ -195,7 +194,7 @@ TEST(StageGraph, TransitionOverheadOnlyOnDependentNodes) {
   rct::StageGraph g;
   const auto a = g.add(node_of("root", {sim_task("root", 1)}));
   g.add(node_of("child", {sim_task("child", 1)}), {a});
-  const auto results = mgr.run_graph(std::move(g));
+  const auto results = mgr.run_graph(std::move(g)).results;
   double root_start = 1e18, root_end = 0, child_start = 1e18;
   for (const auto& r : results) {
     if (r.name == "root") root_start = r.start_time, root_end = r.end_time;
@@ -215,7 +214,7 @@ TEST(StageGraph, CrossPipelineEdgeThrottlesTheFastPipeline) {
   g.add(node_of("a1", {sim_task("a1", 1)}), {a0});
   const auto b0 = g.add(node_of("b0", {sim_task("b0", 1)}), {a0});
   g.add(node_of("b1", {sim_task("b1", 1)}), {b0});
-  const auto results = mgr.run_graph(std::move(g));
+  const auto results = mgr.run_graph(std::move(g)).results;
   double a0_end = 0, b0_start = 1e18;
   for (const auto& r : results) {
     if (r.name == "a0") a0_end = r.end_time;
@@ -226,8 +225,8 @@ TEST(StageGraph, CrossPipelineEdgeThrottlesTheFastPipeline) {
 
 TEST(StageGraph, EmitsStageSpansPerNode) {
   obs::Recorder rec;
-  rct::SimBackend sim(hpc::test_machine(2));
-  rct::ProfiledBackend backend(sim, &rec);
+  rct::SimBackend backend(hpc::test_machine(2));
+  backend.set_recorder(&rec);
   rct::AppManager mgr(backend, {.stage_transition_overhead = 0.0});
   rct::StageGraph g;
   const auto a = g.add(node_of("alpha", {sim_task("t1", 1)}));
@@ -278,27 +277,29 @@ TEST(StageGraph, LocalBackendRunsIndependentNodesConcurrently) {
     };
     g.add(std::move(node));
   }
-  const auto results = mgr.run_graph(std::move(g));
+  const auto results = mgr.run_graph(std::move(g)).results;
   EXPECT_EQ(results.size(), 32u);
   EXPECT_EQ(merges.load(), 8);
   EXPECT_EQ(order.size(), 8u);
 }
 
 TEST(StageGraph, PstRunIsTheLinearChainSpecialCase) {
-  // AppManager::run() over Pipelines must behave exactly like the old PST
-  // engine: stage order, adaptivity, and retries all preserved on top of
-  // run_graph().
+  // A PST pipeline is a chain of nodes, each depending on its predecessor;
+  // EnTK's adaptive append is a post_exec that add()s the next node after
+  // itself. Stage order, adaptivity and transition overheads all hold.
   rct::SimBackend backend(hpc::test_machine(2));
   rct::AppManager mgr(backend, {.stage_transition_overhead = 1.0});
   int rounds = 0;
-  std::function<void(rct::Pipeline&)> extend = [&](rct::Pipeline& pipe) {
+  rct::NodeId tail = rct::kNoNode;
+  std::function<void(rct::StageGraph&)> extend = [&](rct::StageGraph& g) {
     if (++rounds < 3)
-      pipe.add_stage({"adaptive", {sim_task("r" + std::to_string(rounds), 1)},
-                      extend});
+      tail = g.add(node_of("adaptive",
+                           {sim_task("r" + std::to_string(rounds), 1)}, extend),
+                   {tail});
   };
-  rct::Pipeline p("pst");
-  p.add_stage({"seed", {sim_task("r0", 1)}, extend});
-  const auto results = mgr.run({std::move(p)});
+  rct::StageGraph g;
+  tail = g.add(node_of("seed", {sim_task("r0", 1)}, extend));
+  const auto results = mgr.run_graph(std::move(g)).results;
   EXPECT_EQ(rounds, 3);
   ASSERT_EQ(results.size(), 3u);
   // Later stages pay the transition overhead each.
@@ -320,7 +321,7 @@ TEST(StageGraph, DeterministicOnSimBackendAcrossRuns) {
     const auto b = g.add(node_of("b", {sim_task("b", 3)}), {a});
     const auto c = g.add(node_of("c", {sim_task("c", 5)}), {a});
     g.add(node_of("d", {sim_task("d", 1)}), {b, c});
-    const auto results = mgr.run_graph(std::move(g));
+    const auto results = mgr.run_graph(std::move(g)).results;
     std::vector<std::pair<std::string, double>> out;
     for (const auto& r : results) out.emplace_back(r.name, r.end_time);
     return out;
@@ -347,7 +348,7 @@ TEST(StageGraph, PriorityOrderLaunchesCriticalBranchFirst) {
     EXPECT_EQ(g.priority(b), 1.0);
     double b_start = 0, c_start = 0;
     const auto report = mgr.run_graph(std::move(g));
-    for (const auto& r : report) {
+    for (const auto& r : report.results) {
       if (r.name == "b") b_start = r.start_time;
       if (r.name == "c") c_start = r.start_time;
     }
@@ -375,7 +376,7 @@ TEST(StageGraph, AllZeroPrioritiesDegenerateToFifo) {
     g.add(node_of("d", {sim_task("d", 1)}), {b, c});
     std::vector<std::pair<std::string, double>> out;
     const auto report = mgr.run_graph(std::move(g));
-    for (const auto& r : report) out.emplace_back(r.name, r.end_time);
+    for (const auto& r : report.results) out.emplace_back(r.name, r.end_time);
     return out;
   };
   EXPECT_EQ(run_mode(rct::AppManagerOptions::ReadyOrder::kFifo),

@@ -250,13 +250,13 @@ TEST(Entk, StagesRunSequentiallyTasksConcurrently) {
   rct::SimBackend backend(hpc::test_machine(2));
   rct::AppManager mgr(backend, {.stage_transition_overhead = 1.0});
 
-  rct::Pipeline p("p");
-  rct::Stage s1{"s1", {sim_task("a", 10), sim_task("b", 10)}, nullptr};
-  rct::Stage s2{"s2", {sim_task("c", 5)}, nullptr};
-  p.add_stage(s1);
-  p.add_stage(s2);
+  rct::StageGraph g;
+  const auto s1 = g.add({.name = "s1",
+                         .pipeline = "p",
+                         .tasks = {sim_task("a", 10), sim_task("b", 10)}});
+  g.add({.name = "s2", .pipeline = "p", .tasks = {sim_task("c", 5)}}, {s1});
 
-  const auto results = mgr.run({std::move(p)});
+  const auto results = mgr.run_graph(std::move(g)).results;
   ASSERT_EQ(results.size(), 3u);
   double end_a = 0, start_c = 1e18;
   for (const auto& r : results) {
@@ -271,13 +271,13 @@ TEST(Entk, PipelinesProgressIndependently) {
   rct::SimBackend backend(hpc::test_machine(4));
   rct::AppManager mgr(backend, {.stage_transition_overhead = 0.0});
 
-  rct::Pipeline fast("fast");
-  fast.add_stage({"f1", {sim_task("f", 1)}, nullptr});
-  fast.add_stage({"f2", {sim_task("g", 1)}, nullptr});
-  rct::Pipeline slow("slow");
-  slow.add_stage({"s1", {sim_task("s", 50)}, nullptr});
+  rct::StageGraph g;
+  const auto f1 =
+      g.add({.name = "f1", .pipeline = "fast", .tasks = {sim_task("f", 1)}});
+  g.add({.name = "f2", .pipeline = "fast", .tasks = {sim_task("g", 1)}}, {f1});
+  g.add({.name = "s1", .pipeline = "slow", .tasks = {sim_task("s", 50)}});
 
-  const auto results = mgr.run({std::move(fast), std::move(slow)});
+  const auto results = mgr.run_graph(std::move(g)).results;
   double g_end = 0, s_end = 0;
   for (const auto& r : results) {
     if (r.name == "g") g_end = r.end_time;
@@ -292,19 +292,24 @@ TEST(Entk, PostExecAdaptivityAppendsStages) {
   rct::SimBackend backend(hpc::test_machine(1));
   rct::AppManager mgr(backend, {.stage_transition_overhead = 0.0});
 
+  // Each post_exec appends the next stage after the node that just ran.
   int rounds = 0;
-  std::function<void(rct::Pipeline&)> extend = [&](rct::Pipeline& pipe) {
-    if (++rounds < 3) {
-      rct::Stage next{"adaptive" + std::to_string(rounds),
-                      {sim_task("r" + std::to_string(rounds), 1)},
-                      extend};
-      pipe.add_stage(std::move(next));
-    }
+  rct::NodeId tail = rct::kNoNode;
+  std::function<void(rct::StageGraph&)> extend = [&](rct::StageGraph& g) {
+    if (++rounds < 3)
+      tail = g.add({.name = "adaptive" + std::to_string(rounds),
+                    .pipeline = "adaptive",
+                    .tasks = {sim_task("r" + std::to_string(rounds), 1)},
+                    .post_exec = extend},
+                   {tail});
   };
 
-  rct::Pipeline p("adaptive");
-  p.add_stage({"seed", {sim_task("r0", 1)}, extend});
-  const auto results = mgr.run({std::move(p)});
+  rct::StageGraph g;
+  tail = g.add({.name = "seed",
+                .pipeline = "adaptive",
+                .tasks = {sim_task("r0", 1)},
+                .post_exec = extend});
+  const auto results = mgr.run_graph(std::move(g)).results;
   EXPECT_EQ(rounds, 3);
   EXPECT_EQ(results.size(), 3u);  // r0, r1, r2
 }
@@ -312,7 +317,6 @@ TEST(Entk, PostExecAdaptivityAppendsStages) {
 TEST(Entk, HeterogeneousTasksMixInOneStage) {
   rct::SimBackend backend(hpc::test_machine(4));
   rct::AppManager mgr(backend);
-  rct::Pipeline p("hetero");
   rct::TaskDescription gpu = sim_task("gpu", 5, 1);
   rct::TaskDescription cpu;
   cpu.name = "cpu";
@@ -322,33 +326,34 @@ TEST(Entk, HeterogeneousTasksMixInOneStage) {
   mpi.name = "mpi";
   mpi.whole_nodes = 2;
   mpi.duration = 5;
-  p.add_stage({"mix", {gpu, cpu, mpi}, nullptr});
-  const auto results = mgr.run({std::move(p)});
-  EXPECT_EQ(results.size(), 3u);
-  for (const auto& r : results) EXPECT_TRUE(r.ok);
-  EXPECT_EQ(mgr.tasks_failed(), 0u);
+  rct::StageGraph g;
+  g.add({.name = "mix", .pipeline = "hetero", .tasks = {gpu, cpu, mpi}});
+  const auto report = mgr.run_graph(std::move(g));
+  EXPECT_EQ(report.results.size(), 3u);
+  for (const auto& r : report.results) EXPECT_TRUE(r.ok);
+  EXPECT_EQ(report.failed(), 0u);
 }
 
 TEST(Entk, WorksOnLocalBackendWithRealPayloads) {
   rct::LocalBackend backend(3);
   rct::AppManager mgr(backend);
   std::atomic<int> stage1{0}, stage2{0};
-  rct::Pipeline p("local");
-  rct::Stage s1{"s1", {}, nullptr};
+  rct::StageNode s1{.name = "s1", .pipeline = "local"};
   for (int i = 0; i < 6; ++i) {
     rct::TaskDescription t;
     t.name = "w" + std::to_string(i);
     t.payload = [&] { stage1.fetch_add(1); };
     s1.tasks.push_back(std::move(t));
   }
-  rct::Stage s2{"s2", {}, nullptr};
+  rct::StageNode s2{.name = "s2", .pipeline = "local"};
   rct::TaskDescription t2;
   t2.name = "check";
   t2.payload = [&] { stage2.store(stage1.load()); };
   s2.tasks.push_back(std::move(t2));
-  p.add_stage(std::move(s1));
-  p.add_stage(std::move(s2));
-  mgr.run({std::move(p)});
+  rct::StageGraph g;
+  const auto first = g.add(std::move(s1));
+  g.add(std::move(s2), {first});
+  mgr.run_graph(std::move(g));
   // Stage barrier: the check task observed all six stage-1 tasks done.
   EXPECT_EQ(stage2.load(), 6);
 }

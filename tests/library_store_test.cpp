@@ -114,8 +114,8 @@ TEST(LigandStore, WriterDedupDropsDuplicateDigests) {
   std::filesystem::remove_all(dir);
 }
 
-// Corruption resilience: damaged shards are skipped and counted (the
-// ml/shards semantics), never fatal, and intact shards keep serving.
+// Corruption resilience: damaged shards are skipped and counted, never
+// fatal, and intact shards keep serving.
 TEST(LigandStore, CorruptShardsAreSkippedAndCounted) {
   const auto dir = tmp_dir("imp_store_corrupt");
   std::filesystem::remove_all(dir);
@@ -284,8 +284,11 @@ TEST(ScoreStreaming, WindowSizeNeverChangesScores) {
   auto spill_b = ml::ScoreSpill::in_memory(n);
   ml::score_ligands(source, model, 0, n, 7, &spill_a);
   ml::score_ligands(source, model, 0, n, n, &spill_b);
-  for (std::size_t i = 0; i < n; ++i)
+  for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(spill_a.at(i), spill_b.at(i)) << "window-dependent score " << i;
+    // Streaming scores are the model's own per-image predictions.
+    EXPECT_EQ(spill_a.at(i), model.predict(source.image(i))) << i;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "impeccable/chem/diversity.hpp"
 #include "impeccable/chem/fingerprint.hpp"
 #include "impeccable/chem/library.hpp"
+#include "impeccable/chem/ligand_source.hpp"
 #include "impeccable/chem/smiles.hpp"
+#include "impeccable/chem/store.hpp"
 #include "impeccable/common/stats.hpp"
 #include "impeccable/hpc/machine.hpp"
-#include "impeccable/ml/shards.hpp"
+#include "impeccable/ml/streaming.hpp"
+#include "impeccable/ml/surrogate.hpp"
 #include "impeccable/rct/backend.hpp"
 #include "impeccable/rct/entk.hpp"
 
@@ -19,14 +24,20 @@ namespace hpc = impeccable::hpc;
 namespace stats = impeccable::common;
 
 TEST(MiscShards, RejectsZeroPerShard) {
-  EXPECT_THROW(ml::write_shards({}, 0, "/tmp/imp_zero"), std::invalid_argument);
+  EXPECT_THROW(
+      chem::LigandStoreWriter("/tmp/imp_zero", {.records_per_shard = 0}),
+      std::invalid_argument);
 }
 
 TEST(MiscShards, EmptyShardListYieldsEmptyOutput) {
-  const auto out = ml::run_sharded_inference({}, {}, {.ranks = 2});
-  EXPECT_TRUE(out.scores.empty());
-  EXPECT_EQ(out.shards_processed, 0u);
-  EXPECT_EQ(out.shards_failed, 0u);
+  // A store directory holding no shards scores nothing.
+  const auto dir = std::filesystem::temp_directory_path() / "imp_no_shards";
+  std::filesystem::remove_all(dir);
+  const chem::MmapSource source(chem::LigandStore::open(dir.string()));
+  const ml::SurrogateModel model;
+  ml::StreamingTopK topk(5);
+  EXPECT_EQ(ml::score_ligands(source, model, 0, 0, 8, nullptr, &topk), 0u);
+  EXPECT_EQ(topk.size(), 0u);
 }
 
 TEST(MiscDiversity, MaxMinIsDeterministicPerSeed) {
@@ -63,13 +74,13 @@ TEST(MiscMachine, SpecsExposeTotals) {
 TEST(MiscEntk, MakespanAndEmptyPipelines) {
   rct::SimBackend backend(hpc::test_machine(1));
   rct::AppManager mgr(backend);
-  // Zero pipelines and an all-empty pipeline both complete trivially.
-  EXPECT_TRUE(mgr.run({}).empty());
-  rct::Pipeline p("empty");
-  p.add_stage({"nothing", {}, nullptr});
-  const auto results = mgr.run({std::move(p)});
-  EXPECT_TRUE(results.empty());
-  EXPECT_EQ(mgr.tasks_failed(), 0u);
+  // An empty graph and a graph of one task-less node both complete trivially.
+  EXPECT_TRUE(mgr.run_graph({}).results.empty());
+  rct::StageGraph g;
+  g.add({.name = "nothing", .pipeline = "empty"});
+  const auto report = mgr.run_graph(std::move(g));
+  EXPECT_TRUE(report.results.empty());
+  EXPECT_EQ(report.failed(), 0u);
 }
 
 TEST(MiscEntk, TaskStateNames) {

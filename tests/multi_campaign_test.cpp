@@ -403,7 +403,7 @@ TEST(GraphRunReport, RecordsNodeTimingsAndBacksDeprecatedAccessors) {
   // 1s + 2s of work, the 0.5s transition, and the SimBackend's 0.05s
   // per-task launch overhead twice.
   EXPECT_NEAR(report.makespan, 3.6, 1e-9);
-  EXPECT_NEAR(report.makespan, report.back().end_time, 1e-12);
+  EXPECT_NEAR(report.makespan, report.results.back().end_time, 1e-12);
   EXPECT_EQ(report.completed(), 2u);
   EXPECT_EQ(report.failed(), 0u);
 
@@ -412,15 +412,17 @@ TEST(GraphRunReport, RecordsNodeTimingsAndBacksDeprecatedAccessors) {
   for (const auto& [edge, count] : report.ready_wait_histogram()) binned += count;
   EXPECT_EQ(binned, report.nodes.size());
 
-  // Deprecated accessors mirror the report.
-  EXPECT_EQ(mgr.tasks_completed(), report.completed());
-  EXPECT_EQ(mgr.tasks_failed(), 0u);
-  EXPECT_EQ(mgr.tasks_retried(), 0u);
-  EXPECT_NEAR(mgr.makespan(), report.makespan, 1e-12);
+  EXPECT_EQ(report.results.front().name, "a-t");
+  EXPECT_EQ(report.results.back().name, "b-t");
 
-  // The report iterates like the old result vector.
-  EXPECT_FALSE(report.empty());
-  EXPECT_EQ(report.front().name, "a-t");
-  EXPECT_EQ(report.back().name, "b-t");
-  for (const auto& r : report) EXPECT_TRUE(r.ok);
+  // The manager keeps no state between runs: a second run on it reports
+  // only its own work, and the first report stays intact.
+  rct::StageGraph g2;
+  g2.add(node("c", 1.0));
+  const auto second = mgr.run_graph(std::move(g2));
+  ASSERT_EQ(second.results.size(), 1u);
+  EXPECT_EQ(second.results.front().name, "c-t");
+  EXPECT_EQ(second.nodes.size(), 1u);
+  EXPECT_EQ(second.retries, 0u);
+  EXPECT_EQ(report.completed(), 2u);
 }

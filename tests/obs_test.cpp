@@ -506,8 +506,9 @@ TEST(ObsRecorder, ScopedInstallAndRestore) {
 // ------------------------------------------------------ backends + profiler
 
 TEST(ObsBackend, SimBackendSpansUseVirtualTime) {
-  rct::SimBackend inner(hpc::test_machine(1));
-  rct::ProfiledBackend backend(inner);
+  obs::Recorder rec;
+  rct::SimBackend backend(hpc::test_machine(1));
+  backend.set_recorder(&rec);
   for (int i = 0; i < 3; ++i) {
     rct::TaskDescription t;
     t.name = "t" + std::to_string(i);
@@ -517,7 +518,8 @@ TEST(ObsBackend, SimBackendSpansUseVirtualTime) {
   }
   backend.drain();
 
-  const obs::Trace trace = backend.trace_recorder().snapshot();
+  EXPECT_DOUBLE_EQ(rec.now(), backend.now());  // attaching wired the clock
+  const obs::Trace trace = rec.snapshot();
   ASSERT_EQ(trace.spans.size(), 3u);
   for (const auto& s : trace.spans) {
     EXPECT_STREQ(s.category, obs::cat::kTask);
@@ -526,7 +528,7 @@ TEST(ObsBackend, SimBackendSpansUseVirtualTime) {
     EXPECT_NEAR(s.duration(), 2.05, 1e-6);
   }
 
-  const auto profile = backend.profile();
+  const auto profile = rct::SessionProfile::from_trace(trace);
   ASSERT_EQ(profile.tasks.size(), 3u);
   for (const auto& r : profile.tasks) {
     EXPECT_TRUE(r.ok);
@@ -538,8 +540,9 @@ TEST(ObsBackend, SimBackendSpansUseVirtualTime) {
 TEST(ObsBackend, WalltimeKillIsVisibleInProfile) {
   rct::SimBackendOptions opts;
   opts.pilot_walltime = 5.0;
-  rct::SimBackend inner(hpc::test_machine(1), opts);
-  rct::ProfiledBackend backend(inner);
+  obs::Recorder recorder;
+  rct::SimBackend backend(hpc::test_machine(1), opts);
+  backend.set_recorder(&recorder);
 
   rct::TaskDescription t;
   t.name = "doomed";
@@ -550,7 +553,7 @@ TEST(ObsBackend, WalltimeKillIsVisibleInProfile) {
   backend.drain();
   EXPECT_TRUE(failed);
 
-  const auto profile = backend.profile();
+  const auto profile = rct::SessionProfile::from_trace(recorder.snapshot());
   ASSERT_EQ(profile.tasks.size(), 1u);
   const auto& rec = profile.tasks[0];
   EXPECT_FALSE(rec.ok);
@@ -572,12 +575,10 @@ TEST(ObsBackend, WalltimeKillIsVisibleInProfile) {
 
 TEST(ObsBackend, BorrowedRecorderSeesTaskAndStageSpans) {
   obs::Recorder rec;
-  rct::SimBackend inner(hpc::test_machine(1));
-  rct::ProfiledBackend backend(inner, &rec);
+  rct::SimBackend backend(hpc::test_machine(1));
+  backend.set_recorder(&rec);
 
-  rct::Pipeline pipe("p");
-  rct::Stage stage;
-  stage.name = "S-test";
+  rct::StageNode stage{.name = "S-test", .pipeline = "p"};
   for (int i = 0; i < 2; ++i) {
     rct::TaskDescription t;
     t.name = "task-" + std::to_string(i);
@@ -585,9 +586,10 @@ TEST(ObsBackend, BorrowedRecorderSeesTaskAndStageSpans) {
     t.duration = 1.0;
     stage.tasks.push_back(std::move(t));
   }
-  pipe.add_stage(std::move(stage));
+  rct::StageGraph graph;
+  graph.add(std::move(stage));
   rct::AppManager manager(backend);
-  manager.run({std::move(pipe)});
+  manager.run_graph(std::move(graph));
 
   const obs::Trace trace = rec.take();
   int tasks = 0, stages = 0;
@@ -743,6 +745,10 @@ TEST(ObsCampaign, TracedCampaignCoversEveryLayer) {
 
   // Campaign profile came from the same trace.
   EXPECT_FALSE(report.profile.tasks.empty());
+
+  // run() detached the recorder from its backend, which is gone now: the
+  // recorder is back on its own clock, so reading it touches nothing dead.
+  EXPECT_GE(recorder.now(), 0.0);
 }
 
 }  // namespace

@@ -283,6 +283,13 @@ struct CellListCase {
   double cutoff;
 };
 
+// gtest names a case by the raw bytes of its parameter, padding included.
+// Temporaries leave leftover stack bytes (some of them address-randomised) in
+// the padding after `points`; a static array's padding is zero, so the cases
+// live here and are passed by ValuesIn to keep the test names stable.
+constexpr CellListCase kCellListCases[] = {
+    {50, 5.0, 3.0}, {200, 20.0, 6.0}, {300, 8.0, 10.0}, {40, 50.0, 4.0}};
+
 class CellListProperty : public ::testing::TestWithParam<CellListCase> {};
 
 TEST_P(CellListProperty, MatchesBruteForce) {
@@ -309,7 +316,4 @@ TEST_P(CellListProperty, MatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Densities, CellListProperty,
-                         ::testing::Values(CellListCase{50, 5.0, 3.0},
-                                           CellListCase{200, 20.0, 6.0},
-                                           CellListCase{300, 8.0, 10.0},
-                                           CellListCase{40, 50.0, 4.0}));
+                         ::testing::ValuesIn(kCellListCases));
