@@ -7,7 +7,9 @@
 #      self-tests) + the `library` label (out-of-core LigandStore format,
 #      corruption resilience, and the InMemory/Mmap fingerprint-equality
 #      gate) as its own lane so a store regression is named in the output,
-#      not buried in the suite;
+#      not buried in the suite; then the SIMD audit (scripts/simd_audit.sh:
+#      every `#pragma omp simd` loop under src/ must vectorize under the
+#      default preset's flags, per-file options included);
 #   2. asan preset (Address+LeakSanitizer with IMPECCABLE_CHECKS on — the
 #      RNG-ownership auditor and IMP_DCHECK bounds checks run live): full
 #      suite + the `library` label again (the mmap read path and spill
@@ -32,8 +34,9 @@
 #      fails here.
 #
 # Usage: scripts/check.sh [-j N] [-q]
-#   -q  quick: default-preset build, tests, and lint only (skip sanitizers,
-#       the native lane and the benchmark self-test)
+#   -q  quick: default-preset build, tests, lint, audit, library gate and
+#       SIMD audit only (skip sanitizers, the native lane and the benchmark
+#       self-test)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,6 +65,9 @@ ctest --preset audit -j "$JOBS"
 
 echo "== out-of-core library gate (library label) =="
 ctest --preset library -j "$JOBS"
+
+echo "== SIMD audit (every omp simd loop vectorizes) =="
+scripts/simd_audit.sh build
 
 if [ "$QUICK" -eq 1 ]; then
   echo "== quick checks passed (sanitizer lanes skipped) =="

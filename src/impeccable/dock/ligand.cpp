@@ -1,8 +1,10 @@
 #include "impeccable/dock/ligand.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <queue>
 #include <stdexcept>
 
@@ -14,6 +16,19 @@
 namespace impeccable::dock {
 
 using common::Vec3;
+
+namespace {
+
+/// Bitwise lane select: `a` where `mask` is all ones, `b` where it is zero.
+/// Unlike `keep ? a : b`, GCC cannot turn this into a branch around the
+/// store when `b` is the value already in memory, so the loop using it
+/// still vectorizes on targets without masked stores.
+inline double select_bits(std::uint64_t mask, double a, double b) {
+  return std::bit_cast<double>((std::bit_cast<std::uint64_t>(a) & mask) |
+                               (std::bit_cast<std::uint64_t>(b) & ~mask));
+}
+
+}  // namespace
 
 void Pose::normalize_quaternion() {
   const double n = std::sqrt(qw * qw + qx * qx + qy * qy + qz * qz);
@@ -285,7 +300,7 @@ void Ligand::build_coords_batch(const Pose* const* poses, int count, int lanes,
 
   // Broadcast the centered reference conformation into the lane planes.
   // Padding lanes start at zero and stay inert through both stages below
-  // (skip selects, zero matrices), so downstream kernels read exact zeros.
+  // (lane selects, zero matrices), so downstream kernels read exact zeros.
   for (std::size_t a = 0; a < n; ++a) {
     const Vec3 r = ref_coords_[a];
     double* xr = xs + a * L;
@@ -311,7 +326,7 @@ void Ligand::build_coords_batch(const Pose* const* poses, int count, int lanes,
   // dock/CMakeLists.txt), so each lane rounds exactly like the scalar path.
   double ax[kML], ay[kML], az[kML], pbx[kML], pby[kML], pbz[kML];
   double cc[kML], ss[kML], omc[kML];
-  bool skip[kML];
+  std::uint64_t rotate[kML];  // all ones: lane rotates; zero: lane skips
   for (std::size_t t = 0; t < torsions_.size(); ++t) {
     const Torsion& tor = torsions_[t];
     const std::size_t oa = static_cast<std::size_t>(tor.axis_a) * L;
@@ -321,12 +336,12 @@ void Ligand::build_coords_batch(const Pose* const* poses, int count, int lanes,
     for (int l = 0; l < lanes; ++l) {
       const double angle = l < count ? poses[l]->torsions[t] : 0.0;
       if (std::abs(angle) < 1e-12) {
-        skip[l] = true;
+        rotate[l] = 0;
         cc[l] = 1.0; ss[l] = 0.0; omc[l] = 0.0;
         continue;
       }
       any = true;
-      skip[l] = false;
+      rotate[l] = ~std::uint64_t{0};
       cc[l] = std::cos(angle);
       ss[l] = std::sin(angle);
       omc[l] = 1.0 - cc[l];
@@ -369,9 +384,9 @@ void Ligand::build_coords_batch(const Pose* const* poses, int count, int lanes,
         const double rx = vx * cc[l] + cx * ss[l] + ax[l] * w;
         const double ry = vy * cc[l] + cy * ss[l] + ay[l] * w;
         const double rz = vz * cc[l] + cz * ss[l] + az[l] * w;
-        X[l] = skip[l] ? X[l] : pbx[l] + rx;
-        Y[l] = skip[l] ? Y[l] : pby[l] + ry;
-        Z[l] = skip[l] ? Z[l] : pbz[l] + rz;
+        X[l] = select_bits(rotate[l], pbx[l] + rx, X[l]);
+        Y[l] = select_bits(rotate[l], pby[l] + ry, Y[l]);
+        Z[l] = select_bits(rotate[l], pbz[l] + rz, Z[l]);
       }
     }
   }

@@ -96,15 +96,12 @@ class ScoringFunction {
 
  private:
   /// Pose-space reduction: per-atom Cartesian forces -> translation force,
-  /// torque about pose.translation, torsion-axis components. Shared by the
-  /// scalar and batched gradient paths and deliberately kept out of line:
-  /// inlining it into differently-vectorized callers lets the compiler
-  /// contract the cross-product FMAs differently per call site, which would
-  /// break the bitwise batched-vs-scalar identity under -march=native.
-  [[gnu::noinline]] void reduce_pose_gradient(const common::Vec3* coords,
-                                              const common::Vec3* forces,
-                                              std::size_t n, const Pose& pose,
-                                              PoseGradient& grad) const;
+  /// torque about pose.translation, torsion-axis components.
+  /// evaluate_with_gradient_batch runs the same operations per lane; any
+  /// change here must be mirrored there.
+  void reduce_pose_gradient(const common::Vec3* coords,
+                            const common::Vec3* forces, std::size_t n,
+                            const Pose& pose, PoseGradient& grad) const;
 
   /// Energy-only kernel (no gradient math) at explicit coordinates.
   double energy_only(const common::Vec3* coords, std::size_t n) const;

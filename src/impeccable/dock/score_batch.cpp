@@ -29,7 +29,6 @@ void BatchScratch::reset(int atom_count, int lane_count) {
     y.resize(plane);
     z.resize(plane);
     energy.resize(kMaxBatchPoses);
-    aos.resize(static_cast<std::size_t>(atom_count));
   }
   std::fill(energy.begin(), energy.begin() + lanes, 0.0);
 }
@@ -40,7 +39,6 @@ void BatchScratch::reset_forces() {
     fx.resize(plane);
     fy.resize(plane);
     fz.resize(plane);
-    aos_f.resize(static_cast<std::size_t>(atoms));
   }
   const std::size_t used = static_cast<std::size_t>(atoms) * lanes;
   std::fill(fx.begin(), fx.begin() + used, 0.0);
@@ -164,40 +162,104 @@ void ScoringFunction::evaluate_with_gradient_batch(const PoseBatch& batch,
       const double rr6 = rr * rr * rr * rr * rr * rr;
       const double u = eps * (rr6 * rr6 - 2.0 * rr6);
       // Clamp handling mirrors energy_and_forces: zero force on exactly the
-      // clamped set, so energy and gradient agree at both boundaries.
+      // clamped set, so energy and gradient agree at both boundaries. The
+      // force is computed on every lane and zeroed by a value select rather
+      // than skipped by a branch, so the loop vectorizes: a clamped lane
+      // adds ±0.0, which leaves its force plane unchanged — planes start
+      // at +0.0, and IEEE addition can only produce -0.0 from two -0.0s.
       const bool u_clamped = !(u < 100.0);
       const bool r_clamped = !(dist > 0.8);
       en[l] += u_clamped ? 100.0 : u;
-      if (!u_clamped && !r_clamped) {
-        const double du_dr = eps12 * (rr6 - rr6 * rr6) / r;
-        const double dirx = dx / r, diry = dy / r, dirz = dz / r;
-        FX[oj + l] += dirx * du_dr;
-        FY[oj + l] += diry * du_dr;
-        FZ[oj + l] += dirz * du_dr;
-        FX[oi + l] -= dirx * du_dr;
-        FY[oi + l] -= diry * du_dr;
-        FZ[oi + l] -= dirz * du_dr;
-      }
+      const bool keep = !u_clamped && !r_clamped;
+      const double du_dr = keep ? eps12 * (rr6 - rr6 * rr6) / r : 0.0;
+      const double dirx = dx / r, diry = dy / r, dirz = dz / r;
+      FX[oj + l] += dirx * du_dr;
+      FY[oj + l] += diry * du_dr;
+      FZ[oj + l] += dirz * du_dr;
+      FX[oi + l] -= dirx * du_dr;
+      FY[oi + l] -= diry * du_dr;
+      FZ[oi + l] -= dirz * du_dr;
     }
   }
 
-  // Pose-space reduction per lane: de-interleave the lane's coordinates and
-  // forces back to AoS and run the scalar reduction function. Sharing the
-  // exact (out-of-line) reduction code with evaluate_with_gradient is what
-  // keeps the reduced gradients bit-identical even when -march=native
-  // contracts the cross-product FMAs (an inlined per-path copy could
-  // contract differently per call site).
-  for (int l = 0; l < count; ++l) {
-    Vec3* ca = scratch.aos.data();
-    Vec3* fa = scratch.aos_f.data();
-    for (int a = 0; a < n; ++a) {
-      const std::size_t off = static_cast<std::size_t>(a) * L + l;
-      ca[a] = Vec3{X[off], Y[off], Z[off]};
-      fa[a] = Vec3{FX[off], FY[off], FZ[off]};
+  // Pose-space reduction across lanes, read straight from the planes. Each
+  // lane runs reduce_pose_gradient's operations in its order; both files
+  // are compiled without FP contraction (dock/CMakeLists.txt), so the
+  // reduced gradients are bit-identical to the scalar path under any -march.
+  double tx[kMaxBatchPoses], ty[kMaxBatchPoses], tz[kMaxBatchPoses];
+  double qx[kMaxBatchPoses], qy[kMaxBatchPoses], qz[kMaxBatchPoses];
+  double px[kMaxBatchPoses], py[kMaxBatchPoses], pz[kMaxBatchPoses];
+  for (int l = 0; l < L; ++l) {
+    const Vec3 t = l < count ? batch.poses[static_cast<std::size_t>(l)]->translation
+                             : Vec3{};
+    px[l] = t.x;
+    py[l] = t.y;
+    pz[l] = t.z;
+    tx[l] = ty[l] = tz[l] = 0.0;
+    qx[l] = qy[l] = qz[l] = 0.0;
+  }
+  // Translation force and torque about pose.translation (see
+  // reduce_pose_gradient for why that pivot).
+  for (int a = 0; a < n; ++a) {
+    const std::size_t off = static_cast<std::size_t>(a) * L;
+#pragma omp simd
+    for (int l = 0; l < L; ++l) {
+      const double fx = FX[off + l], fy = FY[off + l], fz = FZ[off + l];
+      tx[l] += fx;
+      ty[l] += fy;
+      tz[l] += fz;
+      const double rx = X[off + l] - px[l];
+      const double ry = Y[off + l] - py[l];
+      const double rz = Z[off + l] - pz[l];
+      qx[l] += ry * fz - rz * fy;
+      qy[l] += rz * fx - rx * fz;
+      qz[l] += rx * fy - ry * fx;
     }
-    reduce_pose_gradient(ca, fa, static_cast<std::size_t>(n),
-                         *batch.poses[static_cast<std::size_t>(l)], grads[l]);
+  }
+  for (int l = 0; l < count; ++l) {
+    PoseGradient& g = grads[l];
+    g.translation = Vec3{tx[l], ty[l], tz[l]};
+    g.torque = Vec3{qx[l], qy[l], qz[l]};
+    g.torsions.resize(ligand_.torsion_count());
     energies[l] = en[l];
+  }
+
+  // Torsion components: torque of the moving set about the rotatable bond.
+  const auto& torsions = ligand_.torsions();
+  double ax[kMaxBatchPoses], ay[kMaxBatchPoses], az[kMaxBatchPoses];
+  for (std::size_t t = 0; t < torsions.size(); ++t) {
+    const std::size_t oa = static_cast<std::size_t>(torsions[t].axis_a) * L;
+    const std::size_t ob = static_cast<std::size_t>(torsions[t].axis_b) * L;
+    // (pb - pa).normalized(); the guarded denominator keeps degenerate
+    // lanes free of division by zero, and the select discards their result.
+#pragma omp simd
+    for (int l = 0; l < L; ++l) {
+      const double dx = X[ob + l] - X[oa + l];
+      const double dy = Y[ob + l] - Y[oa + l];
+      const double dz = Z[ob + l] - Z[oa + l];
+      const double nrm = std::sqrt(dx * dx + dy * dy + dz * dz);
+      const bool degenerate = nrm <= 0.0;
+      const double safe = degenerate ? 1.0 : nrm;
+      ax[l] = degenerate ? 1.0 : dx / safe;
+      ay[l] = degenerate ? 0.0 : dy / safe;
+      az[l] = degenerate ? 0.0 : dz / safe;
+      qx[l] = qy[l] = qz[l] = 0.0;
+    }
+    for (int idx : torsions[t].moving) {
+      const std::size_t om = static_cast<std::size_t>(idx) * L;
+#pragma omp simd
+      for (int l = 0; l < L; ++l) {
+        const double rx = X[om + l] - X[ob + l];
+        const double ry = Y[om + l] - Y[ob + l];
+        const double rz = Z[om + l] - Z[ob + l];
+        const double fx = FX[om + l], fy = FY[om + l], fz = FZ[om + l];
+        qx[l] += ry * fz - rz * fy;
+        qy[l] += rz * fx - rx * fz;
+        qz[l] += rx * fy - ry * fx;
+      }
+    }
+    for (int l = 0; l < count; ++l)
+      grads[l].torsions[t] = ax[l] * qx[l] + ay[l] * qy[l] + az[l] * qz[l];
   }
 }
 

@@ -57,8 +57,6 @@ struct BatchScratch {
   std::vector<double> x, y, z;     ///< coordinate planes, atoms × lanes
   std::vector<double> fx, fy, fz;  ///< force planes (gradient path only)
   std::vector<double> energy;      ///< per-lane accumulators, lanes
-  std::vector<common::Vec3> aos;   ///< per-lane coord staging (gradient reduce)
-  std::vector<common::Vec3> aos_f; ///< per-lane force staging (gradient reduce)
 
   /// Ensure capacity for `atom_count` × `lane_count`, zeroing the coordinate
   /// and energy planes (padding lanes must read as zero every batch).

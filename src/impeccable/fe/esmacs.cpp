@@ -5,6 +5,7 @@
 
 #include "impeccable/common/rng.hpp"
 #include "impeccable/common/thread_pool.hpp"
+#include "impeccable/md/forcefield.hpp"
 #include "impeccable/obs/recorder.hpp"
 
 namespace impeccable::fe {
@@ -42,11 +43,12 @@ ReplicaOutcome run_one(const md::System& lpc, int rotatable_bonds,
                        const EsmacsConfig& config, std::uint64_t replica_seed) {
   ReplicaOutcome out;
   md::SimulationResult sim = md::run_replica(lpc, config.simulation, replica_seed);
+  const md::ForceField ff(lpc.topology);
   std::vector<double> frame_dg;
   frame_dg.reserve(sim.trajectory.size());
   for (const auto& frame : sim.trajectory.frames)
     frame_dg.push_back(
-        frame_binding_energy(lpc, frame, rotatable_bonds, config.mmpbsa));
+        frame_binding_energy(ff, frame, rotatable_bonds, config.mmpbsa));
   out.mean_dg = frame_dg.empty() ? 0.0 : common::mean(frame_dg);
   out.frame_error = common::block_average_error(frame_dg);
   out.md_steps = sim.md_steps;

@@ -15,6 +15,10 @@
 #include "impeccable/md/simulation.hpp"
 #include "impeccable/md/system.hpp"
 
+namespace impeccable::md {
+class ForceField;
+}  // namespace impeccable::md
+
 namespace impeccable::fe {
 
 struct MmpbsaOptions {
@@ -24,8 +28,10 @@ struct MmpbsaOptions {
   double entropy_per_torsion = 0.4; ///< kcal/mol per rotatable bond (penalty)
 };
 
-/// ΔG estimate for one stored frame of an LPC trajectory.
-double frame_binding_energy(const md::System& system, const md::Frame& frame,
+/// ΔG estimate for one stored frame of an LPC trajectory. `ff` is the LPC's
+/// default-option force field (`md::ForceField(system.topology)`); build it
+/// once per trajectory and reuse it for every frame.
+double frame_binding_energy(const md::ForceField& ff, const md::Frame& frame,
                             int rotatable_bonds, const MmpbsaOptions& opts = {});
 
 /// Mean ΔG over every frame of a replica trajectory.

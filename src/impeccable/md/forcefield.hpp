@@ -3,8 +3,8 @@
 // hydrophobic deepening + Debye–Hückel screened electrostatics. Nonbonded
 // interactions run over a cell list rebuilt on demand.
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "impeccable/md/topology.hpp"
@@ -51,6 +51,8 @@ struct EnergyBreakdown {
 /// Spatial cell list for cutoff-based pair iteration.
 class CellList {
  public:
+  /// Bin `pos` into cubic cells of edge `cutoff`. Rebuilding keeps every
+  /// bucket's capacity, so a steady-state rebuild does not allocate.
   void build(const std::vector<common::Vec3>& pos, double cutoff);
   /// Visit unordered pairs (i < j) within cutoff; f(i, j).
   template <typename F>
@@ -61,6 +63,7 @@ class CellList {
   common::Vec3 origin_;
   double cell_size_ = 0.0;
   int nx_ = 0, ny_ = 0, nz_ = 0;
+  /// At least nx_·ny_·nz_ buckets; only that prefix is live.
   std::vector<std::vector<int>> cells_;
   int cell_of(const common::Vec3& p) const;
 };
@@ -87,11 +90,47 @@ class ForceField {
  private:
   const Topology& topo_;
   ForceFieldOptions opts_;
-  std::unordered_set<std::uint64_t> excluded_;
+  /// Dense symmetric exclusion table (bonded 1-2 and angle 1-3 pairs): one
+  /// row of `excl_words_` 64-bit words per bead, bit j of row i set when
+  /// the pair (i, j) is excluded. N²/8 bytes for the CG systems here.
+  std::vector<std::uint64_t> excluded_;
+  std::size_t excl_words_ = 0;
+  // Pair-independent constants of the nonbonded terms, computed once with
+  // the exact expressions a per-pair evaluation would use, so every pair
+  // sees the same bits.
+  double kappa_ = 0.0;             ///< 1 / debye_length
+  double exp_kappa_cutoff_ = 0.0;  ///< exp(-κ·r_c): evaluate()'s Coulomb shift
+  double exp_cutoff_debye_ = 0.0;  ///< exp(-r_c / debye_length): interaction_energy()'s
+  double cutoff6_ = 0.0;           ///< r_c⁶, the soft-core shift's r⁶
   mutable CellList cells_;
   mutable std::uint64_t last_pairs_ = 0;
 
-  bool is_excluded(int i, int j) const;
+  /// Per-pair staging of the nonbonded kernel: entry k is the k-th pair
+  /// inside the cutoff, in cell-list visit order. Reused across calls, so
+  /// a steady-state evaluate() does not allocate.
+  struct PairStage {
+    std::vector<int> i, j;
+    std::vector<unsigned char> cross;          ///< protein-ligand pair
+    std::vector<double> dx, dy, dz;            ///< pos[j] - pos[i]
+    std::vector<double> r;                     ///< |d|², then max(0.8, |d|)
+    std::vector<double> eps;                   ///< ε_i·ε_j
+    std::vector<double> boost;                 ///< 1: both beads hydrophobic
+    std::vector<double> rij, lambda;           ///< σ sum, coupling
+    std::vector<double> qq;                    ///< 332·q_i·q_j, then ÷ dielectric
+    std::vector<double> ulj, coul;             ///< λ-coupled LJ and Coulomb
+    std::vector<double> dulj;                  ///< dU_LJ/dr, then force scale
+    std::vector<double> dhdl;                  ///< dU_LJ/dλ, then ∂H/∂λ term
+    std::vector<double> ex;                    ///< -κr, then exp(-κr)
+    std::vector<double> fx, fy, fz;            ///< capped pair force on j
+    void resize(std::size_t n);
+  };
+  mutable PairStage stage_;
+
+  bool is_excluded(int i, int j) const {
+    const std::size_t row = static_cast<std::size_t>(i) * excl_words_;
+    const auto col = static_cast<unsigned>(j);
+    return (excluded_[row + (col >> 6)] >> (col & 63u)) & 1u;
+  }
 };
 
 // ----------------------------------------------------------------------

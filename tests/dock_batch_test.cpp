@@ -2,7 +2,9 @@
 //  - lane equivalence: evaluate_batch / evaluate_with_gradient_batch must
 //    reproduce the scalar evaluate / evaluate_with_gradient bit for bit at
 //    every batch size 1..kMaxBatchPoses, including partial batches and poses
-//    far outside the grid box (wall-penalty lanes next to in-box lanes);
+//    far outside the grid box (wall-penalty lanes next to in-box lanes), and
+//    with clamped intramolecular pairs (distance floor and energy cap) in
+//    lanes next to clash-free ones;
 //  - evaluation accounting: the work-unit counter advances once per pose,
 //    never once per batch;
 //  - a counting global allocator proves steady-state batched evaluation
@@ -15,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -176,6 +179,96 @@ TEST(BatchEquivalence, GradientsMatchScalarAtEveryBatchSize) {
             << "batch=" << count << " lane=" << l << " torsion=" << t;
     }
   }
+}
+
+TEST(BatchEquivalence, GradientsMatchScalarWithClampedPairsInBatch) {
+  // The batched pair sweep zeroes the force of clamped pairs with a lane
+  // select instead of a branch. Mix poses with clamped intramolecular pairs
+  // (dist <= 0.8, or u >= 100 above the distance floor) and clash-free
+  // poses in the same batch; every lane must still match the scalar path.
+  // (With real vdW radii a pair on the distance floor is also over the
+  // energy cap, so the distance class exercises both predicates at once.)
+  const auto grid = test_grid(47);
+  const auto mol = chem::parse_smiles("OCCCCCCCCCCCCCO");  // floppy chain
+  const dock::Ligand lig(mol, 5);
+  const dock::ScoringFunction score(*grid, lig);
+  ASSERT_FALSE(lig.pair_table().empty());
+
+  enum Clamp { kFree, kDistClamped, kEnergyClamped };
+  auto classify = [&](const dock::Pose& pose, std::vector<Vec3>& coords) {
+    lig.build_coords(pose, coords);
+    bool dist_clamped = false, energy_clamped = false;
+    for (const dock::NonbondedPair& p : lig.pair_table()) {
+      const double dist =
+          (coords[static_cast<std::size_t>(p.j)] -
+           coords[static_cast<std::size_t>(p.i)]).norm();
+      const double rr = p.rij / std::max(0.8, dist);
+      const double rr6 = rr * rr * rr * rr * rr * rr;
+      const double u = p.eps * (rr6 * rr6 - 2.0 * rr6);
+      if (!(dist > 0.8)) dist_clamped = true;
+      else if (!(u < 100.0)) energy_clamped = true;
+    }
+    return dist_clamped ? kDistClamped : energy_clamped ? kEnergyClamped : kFree;
+  };
+
+  // Random conformations of the chain fold back on themselves often enough
+  // to fill every class from a bounded search.
+  constexpr std::size_t kPerClass = 8;
+  std::vector<dock::Pose> pool[3];
+  std::vector<Vec3> coords;
+  Rng rng(251);
+  for (int tries = 0; tries < 200000; ++tries) {
+    if (pool[kFree].size() >= kPerClass &&
+        pool[kDistClamped].size() >= kPerClass &&
+        pool[kEnergyClamped].size() >= kPerClass)
+      break;
+    dock::Pose p = lig.random_pose(grid->pocket_center, 3.0, rng);
+    auto& bucket = pool[classify(p, coords)];
+    if (bucket.size() < kPerClass) bucket.push_back(std::move(p));
+  }
+  ASSERT_EQ(pool[kFree].size(), kPerClass);
+  ASSERT_EQ(pool[kDistClamped].size(), kPerClass);
+  ASSERT_EQ(pool[kEnergyClamped].size(), kPerClass);
+
+  dock::ScorerScratch scratch;
+  dock::BatchScratch bscratch;
+  int seen[3] = {0, 0, 0};
+  for (int count : {2, 3, 5, 8, 13, 16}) {
+    std::vector<dock::Pose> poses;
+    for (int l = 0; l < count; ++l) {
+      const int cls = (l + count) % 3;
+      poses.push_back(pool[cls][static_cast<std::size_t>(l / 3) % kPerClass]);
+      ++seen[cls];
+    }
+    dock::PoseBatch batch;
+    for (const auto& p : poses) batch.push(p);
+
+    double energies[dock::kMaxBatchPoses];
+    std::vector<dock::PoseGradient> grads(static_cast<std::size_t>(count));
+    score.evaluate_with_gradient_batch(batch, bscratch, energies,
+                                       grads.data());
+    for (int l = 0; l < count; ++l) {
+      const std::size_t sl = static_cast<std::size_t>(l);
+      dock::PoseGradient ref;
+      const double scalar =
+          score.evaluate_with_gradient(poses[sl], scratch, ref);
+      EXPECT_EQ(energies[l], scalar) << "batch=" << count << " lane=" << l;
+      EXPECT_EQ(grads[sl].translation.x, ref.translation.x);
+      EXPECT_EQ(grads[sl].translation.y, ref.translation.y);
+      EXPECT_EQ(grads[sl].translation.z, ref.translation.z);
+      EXPECT_EQ(grads[sl].torque.x, ref.torque.x);
+      EXPECT_EQ(grads[sl].torque.y, ref.torque.y);
+      EXPECT_EQ(grads[sl].torque.z, ref.torque.z);
+      ASSERT_EQ(grads[sl].torsions.size(), ref.torsions.size());
+      for (std::size_t t = 0; t < ref.torsions.size(); ++t)
+        EXPECT_EQ(grads[sl].torsions[t], ref.torsions[t])
+            << "batch=" << count << " lane=" << l << " torsion=" << t;
+    }
+  }
+  // Every class went through the batched kernel, next to the others.
+  EXPECT_GT(seen[kFree], 0);
+  EXPECT_GT(seen[kDistClamped], 0);
+  EXPECT_GT(seen[kEnergyClamped], 0);
 }
 
 TEST(BatchEquivalence, BatchedGridSamplersMatchScalarSamplers) {

@@ -14,6 +14,7 @@
 #include "impeccable/fe/esmacs.hpp"
 #include "impeccable/fe/ties.hpp"
 #include "impeccable/md/analysis.hpp"
+#include "impeccable/md/forcefield.hpp"
 
 namespace fe = impeccable::fe;
 namespace md = impeccable::md;
@@ -73,8 +74,9 @@ TEST(Mmpbsa, BoundPoseBeatsPulledApartPose) {
   const auto lig = fx.system.topology.selection(md::BeadKind::Ligand);
   for (int i : lig) apart.positions[static_cast<std::size_t>(i)].z += 40.0;
 
-  const double g_bound = fe::frame_binding_energy(fx.system, bound, fx.rotatable);
-  const double g_apart = fe::frame_binding_energy(fx.system, apart, fx.rotatable);
+  const md::ForceField ff(fx.system.topology);
+  const double g_bound = fe::frame_binding_energy(ff, bound, fx.rotatable);
+  const double g_apart = fe::frame_binding_energy(ff, apart, fx.rotatable);
   EXPECT_LT(g_bound, g_apart);
   // Fully separated: only the entropy penalty remains.
   EXPECT_NEAR(g_apart, 0.4 * fx.rotatable, 0.5);
@@ -84,8 +86,9 @@ TEST(Mmpbsa, EntropyPenaltyScalesWithTorsions) {
   auto fx = make_lpc("c1ccccc1", 32);  // rigid ligand
   md::Frame f;
   f.positions = fx.system.positions;
-  const double g0 = fe::frame_binding_energy(fx.system, f, 0);
-  const double g5 = fe::frame_binding_energy(fx.system, f, 5);
+  const md::ForceField ff(fx.system.topology);
+  const double g0 = fe::frame_binding_energy(ff, f, 0);
+  const double g5 = fe::frame_binding_energy(ff, f, 5);
   EXPECT_NEAR(g5 - g0, 5 * 0.4, 1e-9);
 }
 
@@ -95,9 +98,10 @@ TEST(Mmpbsa, ReplicaAverageIsMeanOfFrames) {
   so.production_steps = 60;
   so.report_interval = 20;
   const auto sim = md::run_replica(fx.system, so, 4);
+  const md::ForceField ff(fx.system.topology);
   double acc = 0.0;
   for (const auto& f : sim.trajectory.frames)
-    acc += fe::frame_binding_energy(fx.system, f, fx.rotatable);
+    acc += fe::frame_binding_energy(ff, f, fx.rotatable);
   acc /= static_cast<double>(sim.trajectory.size());
   EXPECT_NEAR(fe::replica_binding_energy(fx.system, sim.trajectory, fx.rotatable),
               acc, 1e-9);

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "impeccable/chem/smiles.hpp"
 #include "impeccable/common/stats.hpp"
@@ -165,6 +168,158 @@ TEST(ForceField, BondEnergyZeroAtRestLength) {
   EXPECT_NEAR(ff.evaluate(sys.positions, nullptr).bond, 0.0, 1e-12);
   sys.positions[1].x = 3.0;
   EXPECT_NEAR(ff.evaluate(sys.positions, nullptr).bond, 40.0 * 0.25, 1e-9);
+}
+
+// Golden bit patterns of the nonbonded kernel on a fixed LPC. Any change to
+// ForceField must run the same IEEE operations in the same order, so every
+// energy term, the force digest and the pair count stay bit-identical.
+namespace {
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// FNV-1a over the bit patterns of every vector component, in order.
+std::uint64_t vec3_digest(const std::vector<Vec3>& vs) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const Vec3& v : vs)
+    for (const double c : {v.x, v.y, v.z}) {
+      h ^= bits(c);
+      h *= 0x100000001b3ULL;
+    }
+  return h;
+}
+
+struct GoldenEval {
+  std::uint64_t bond, angle, lj, coulomb, restraint, interaction, dh_dlambda;
+  std::uint64_t forces;
+  std::uint64_t pairs;
+};
+
+GoldenEval golden_eval(const md::ForceField& ff,
+                       const std::vector<Vec3>& pos) {
+  std::vector<Vec3> forces;
+  const auto e = ff.evaluate(pos, &forces);
+  // The energy-only path must agree with the force path bit for bit.
+  const auto e_only = ff.evaluate(pos, nullptr);
+  EXPECT_EQ(bits(e.total()), bits(e_only.total()));
+  return {bits(e.bond),        bits(e.angle),
+          bits(e.lj),          bits(e.coulomb),
+          bits(e.restraint),   bits(e.interaction),
+          bits(e.dh_dlambda),  vec3_digest(forces),
+          ff.last_pair_count()};
+}
+
+void expect_golden(const GoldenEval& got, const GoldenEval& want) {
+  EXPECT_EQ(got.bond, want.bond) << std::hex << got.bond;
+  EXPECT_EQ(got.angle, want.angle) << std::hex << got.angle;
+  EXPECT_EQ(got.lj, want.lj) << std::hex << got.lj;
+  EXPECT_EQ(got.coulomb, want.coulomb) << std::hex << got.coulomb;
+  EXPECT_EQ(got.restraint, want.restraint) << std::hex << got.restraint;
+  EXPECT_EQ(got.interaction, want.interaction) << std::hex << got.interaction;
+  EXPECT_EQ(got.dh_dlambda, want.dh_dlambda) << std::hex << got.dh_dlambda;
+  EXPECT_EQ(got.forces, want.forces) << std::hex << got.forces;
+  EXPECT_EQ(got.pairs, want.pairs);
+}
+
+/// The pinned LPC, jittered deterministically off its built coordinates so
+/// bonds, angles and restraints all sit away from their rest values.
+std::vector<Vec3> golden_positions(const md::System& sys) {
+  auto pos = sys.positions;
+  Rng rng(29);
+  for (auto& p : pos)
+    p += Vec3{rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3),
+              rng.uniform(-0.3, 0.3)};
+  return pos;
+}
+
+}  // namespace
+
+TEST(ForceFieldGolden, PhysicalCouplingIsBitExact) {
+  const auto sys = small_lpc();
+  const auto pos = golden_positions(sys);
+  const md::ForceField ff(sys.topology);
+  expect_golden(golden_eval(ff, pos),
+                {0x4063b11bc9fd0aa9, 0x403530aaab08f1e6, 0x402bc760c57c3dcd,
+                 0x3fcc8ad47d0e640e, 0x0, 0xc0204e4645fa414e,
+                 0xc020ff92872c1aa0, 0x8fec53ae430d1576, 451});
+}
+
+TEST(ForceFieldGolden, HalfCouplingIsBitExact) {
+  const auto sys = small_lpc();
+  const auto pos = golden_positions(sys);
+  md::ForceFieldOptions opts;
+  opts.interaction_scale = 0.5;
+  const md::ForceField ff(sys.topology, opts);
+  expect_golden(golden_eval(ff, pos),
+                {0x4063b11bc9fd0aa9, 0x403530aaab08f1e6, 0x4032145e6898a9dc,
+                 0x3fc89e06c15db52c, 0x0, 0xc00ff275c4cfb880,
+                 0xc0204c58ca153898, 0x759b4316eb7fbb37, 451});
+}
+
+TEST(ForceFieldGolden, RestrainedIsBitExact) {
+  const auto sys = small_lpc();
+  const auto pos = golden_positions(sys);
+  md::ForceFieldOptions opts;
+  opts.restraint_k = 2.0;
+  opts.restraint_ref = sys.positions;
+  opts.restrained = sys.topology.selection(md::BeadKind::Protein);
+  const md::ForceField ff(sys.topology, opts);
+  expect_golden(golden_eval(ff, pos),
+                {0x4063b11bc9fd0aa9, 0x403530aaab08f1e6, 0x402bc760c57c3dcd,
+                 0x3fcc8ad47d0e640e, 0x401641ad66a4fdac, 0xc0204e4645fa414e,
+                 0xc020ff92872c1aa0, 0x4839cc74aa9ddab5, 451});
+}
+
+TEST(ForceFieldGolden, CappedForcesAreBitExact) {
+  const auto sys = small_lpc();
+  const auto pos = golden_positions(sys);
+  md::ForceFieldOptions opts;
+  opts.max_force = 2.0;
+  const md::ForceField capped(sys.topology, opts);
+  opts.max_force = std::numeric_limits<double>::infinity();
+  const md::ForceField uncapped(sys.topology, opts);
+  // The cap must actually fire here, and must not fire at the default cap
+  // in the other golden cases.
+  std::vector<Vec3> f_capped, f_uncapped, f_default;
+  capped.evaluate(pos, &f_capped);
+  uncapped.evaluate(pos, &f_uncapped);
+  md::ForceField(sys.topology).evaluate(pos, &f_default);
+  EXPECT_NE(vec3_digest(f_capped), vec3_digest(f_uncapped));
+  EXPECT_EQ(vec3_digest(f_default), vec3_digest(f_uncapped));
+  expect_golden(golden_eval(capped, pos),
+                {0x4063b11bc9fd0aa9, 0x403530aaab08f1e6, 0x402bc760c57c3dcd,
+                 0x3fcc8ad47d0e640e, 0x0, 0xc0204e4645fa414e,
+                 0xc020ff92872c1aa0, 0x84e3cadf2e8a7eba, 451});
+}
+
+TEST(ForceFieldGolden, InteractionEnergyIsBitExact) {
+  const auto sys = small_lpc();
+  const auto pos = golden_positions(sys);
+  const md::ForceField ff(sys.topology);
+  const double e = ff.interaction_energy(pos);
+  EXPECT_EQ(bits(e), 0xc0204e4645fa414dULL);
+  // interaction_energy is the physical (λ = 1) MMPBSA input: the coupling
+  // option must not enter it.
+  md::ForceFieldOptions opts;
+  opts.interaction_scale = 0.5;
+  const double e_half = md::ForceField(sys.topology, opts).interaction_energy(pos);
+  EXPECT_EQ(bits(e_half), bits(e));
+}
+
+TEST(ForceFieldGolden, ReplicaTrajectoryIsBitExact) {
+  // Minimization, restrained equilibration and production: the cell list is
+  // rebuilt every step as beads move, so reuse across steps is covered.
+  const auto sys = small_lpc();
+  md::SimulationOptions so;
+  so.minimize_iterations = 20;
+  so.equilibration_steps = 30;
+  so.equilibration_restraint_k = 1.0;
+  so.production_steps = 60;
+  so.report_interval = 20;
+  const auto res = md::run_replica(sys, so, 7);
+  ASSERT_EQ(res.trajectory.size(), 3u);
+  const md::Frame& last = res.trajectory.frames.back();
+  EXPECT_EQ(vec3_digest(last.positions), 0x4918444e765c84ebULL);
+  EXPECT_EQ(bits(last.energy.total()), 0x400ff0e257fe9829ULL);
 }
 
 // ---------------------------------------------------------------- minimizers
