@@ -22,14 +22,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <string>
 
 #include "impeccable/core/multi_campaign.hpp"
-#include "impeccable/core/stages/graph_builder.hpp"
 #include "impeccable/hpc/machine.hpp"
 #include "impeccable/obs/json.hpp"
-#include "impeccable/obs/recorder.hpp"
 #include "impeccable/rct/backend.hpp"
 #include "impeccable/rct/entk.hpp"
 #include "impeccable/rct/profiler.hpp"
@@ -51,30 +48,22 @@ struct ScaleRun {
   double idle_fraction = 0.0;
 };
 
+// One virtual target through MultiCampaign on the DES machine. FIFO ready
+// order: no node priorities, so sequential vs pipelined is the only
+// difference between the two runs.
 ScaleRun run_campaign(int nodes, int iterations, const stages::ScaleModel& model,
                       bool pipelined) {
-  obs::Recorder rec;
   rct::SimBackend backend(hpc::summit(nodes));
-  backend.set_recorder(&rec);
-  rct::AppManager mgr(backend, {.stage_transition_overhead = 60.0});
+  core::ExecConfig exec;
+  exec.pipeline_iterations = pipelined;
+  exec.stage_transition_overhead = 60.0;
+  core::MultiCampaignOptions mopts;
+  mopts.ready_order = rct::AppManagerOptions::ReadyOrder::kFifo;
+  core::MultiCampaign multi(exec, mopts);
+  // Virtual-workload mode: no payloads, no library.
+  multi.add_virtual_target("campaign", iterations, model);
+  const rct::SessionProfile prof = multi.run(backend).profile;
 
-  core::CampaignConfig cfg;
-  cfg.iterations = iterations;
-  cfg.pipeline_iterations = pipelined;
-
-  auto state = std::make_shared<stages::CampaignState>();
-  state->config = &cfg;
-  state->backend = &backend;
-  core::CampaignReport report;
-  report.iterations.resize(static_cast<std::size_t>(iterations));
-  state->report = &report;
-  state->scale = &model;  // virtual-workload mode: no payloads, no library
-
-  rct::StageGraph graph;
-  stages::add_campaign_graph(graph, state, iterations, pipelined);
-  mgr.run_graph(std::move(graph));
-
-  const auto prof = rct::SessionProfile::from_trace(rec.snapshot());
   ScaleRun out;
   out.makespan_s = prof.makespan();
   out.tasks = prof.tasks.size();
@@ -116,7 +105,6 @@ MultiRun run_multi_target(int nodes, int iterations,
   core::MultiCampaignOptions mopts;
   mopts.ready_order = priority ? rct::AppManagerOptions::ReadyOrder::kPriority
                                : rct::AppManagerOptions::ReadyOrder::kFifo;
-  mopts.critical_path_priority = priority;
   core::MultiCampaign multi(exec, mopts);
   for (std::size_t i = 0; i < targets.size(); ++i)
     multi.add_virtual_target("target-" + std::to_string(i), iterations,

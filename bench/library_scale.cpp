@@ -24,12 +24,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <string>
 
 #include "impeccable/chem/ligand_source.hpp"
-#include "impeccable/core/campaign.hpp"
-#include "impeccable/core/stages/graph_builder.hpp"
+#include "impeccable/core/multi_campaign.hpp"
 #include "impeccable/hpc/machine.hpp"
 #include "impeccable/obs/json.hpp"
 #include "impeccable/rct/backend.hpp"
@@ -156,26 +154,16 @@ int main(int argc, char** argv) {
   scale.replay = &replay;
 
   rct::SimBackend backend(hpc::summit(4));
-  rct::AppManager mgr(backend, {});
-  core::CampaignConfig cfg;
-  cfg.iterations = 1;
-
-  auto state = std::make_shared<stages::CampaignState>();
-  state->config = &cfg;
-  state->backend = &backend;
-  core::CampaignReport report;
-  report.iterations.resize(1);
-  state->report = &report;
-  state->scale = &scale;
-
-  rct::StageGraph graph;
-  stages::add_campaign_graph(graph, state, 1, false);
+  core::MultiCampaignOptions campaign_opts;
+  campaign_opts.ready_order = rct::AppManagerOptions::ReadyOrder::kFifo;
+  core::MultiCampaign campaign(core::ExecConfig{}, campaign_opts);
+  campaign.add_virtual_target("library", 1, scale);
 
   std::printf("streaming %zu ligands through ML1 "
               "(featurize -> predict -> top-%zu, window %zu)...\n",
               ligands, replay.top_k, replay.window);
   const auto t0 = std::chrono::steady_clock::now();
-  mgr.run_graph(std::move(graph));
+  campaign.run(backend);
   const double stream_s = seconds_since(t0);
   const std::size_t peak_rss = peak_rss_bytes();  // before the fp phase!
 
@@ -194,7 +182,7 @@ int main(int argc, char** argv) {
   const bool scored_ok = replay.ligands_scored >= ligands;
 
   // ---- Phase 2: fingerprint equality at 50k. ----------------------------
-  core::CampaignConfig fpc;
+  core::ScienceConfig fpc;
   fpc.library_size = fp_library;
   fpc.iterations = 2;
   fpc.bootstrap_docks = 24;
@@ -211,22 +199,24 @@ int main(int argc, char** argv) {
   fpc.esmacs_fg.replicas = 4;
   fpc.surrogate.epochs = 2;
   fpc.aae.epochs = 2;
-  fpc.seed = 29;
+  core::ExecConfig fpx;
+  fpx.seed = 29;
 
   std::printf("\nfingerprint gate: %zu-ligand campaign, 2 iterations, "
               "both backends...\n", fp_library);
   const auto t1 = std::chrono::steady_clock::now();
-  core::Campaign in_mem(core::Target::make("3CL-like", 42, 40, 21), fpc);
+  core::Campaign in_mem(core::Target::make("3CL-like", 42, 40, 21), fpc, fpx);
   const std::string fp_a = in_mem.run().science_fingerprint();
   const double in_mem_s = seconds_since(t1);
 
   const auto fp_store_dir =
       std::filesystem::temp_directory_path() / "impeccable_library_scale_fp";
   std::filesystem::remove_all(fp_store_dir);
-  fpc.library_backend = core::ExecConfig::LibraryBackend::kMmapStore;
-  fpc.library_store_dir = fp_store_dir.string();
+  fpx.library_backend = core::ExecConfig::LibraryBackend::kMmapStore;
+  fpx.library_store_dir = fp_store_dir.string();
   const auto t2 = std::chrono::steady_clock::now();
-  core::Campaign out_of_core(core::Target::make("3CL-like", 42, 40, 21), fpc);
+  core::Campaign out_of_core(core::Target::make("3CL-like", 42, 40, 21), fpc,
+                             fpx);
   const std::string fp_b = out_of_core.run().science_fingerprint();
   const double mmap_s = seconds_since(t2);
   std::filesystem::remove_all(fp_store_dir);

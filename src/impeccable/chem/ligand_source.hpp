@@ -71,7 +71,7 @@ class LigandSource {
 };
 
 /// Fully materialized source: parses and depicts every entry at
-/// construction (the historical CampaignState::init behavior).
+/// construction (the historical campaign library behavior).
 class InMemorySource final : public LigandSource {
  public:
   explicit InMemorySource(CompoundLibrary library, SourceOptions opts = {});

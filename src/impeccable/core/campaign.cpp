@@ -33,28 +33,25 @@ Target Target::make(const std::string& name, std::uint64_t seed,
   return t;
 }
 
-Campaign::Campaign(Target target, const CampaignConfig& config)
-    : target_(std::move(target)), config_(config) {}
-
 Campaign::Campaign(Target target, ScienceConfig science, ExecConfig exec)
     : target_(std::move(target)),
-      config_(std::move(science), std::move(exec)) {}
+      science_(std::move(science)),
+      exec_(std::move(exec)) {}
 
 CampaignReport Campaign::run() {
-  rct::LocalBackend local(config_.threads);
+  rct::LocalBackend local(exec_.threads);
   return run(local);
 }
 
 CampaignReport Campaign::run(rct::ExecutionBackend& raw) {
   // The single-target campaign is the one-entry special case of the
-  // multi-target engine. FIFO ready order and no node priorities keep the
-  // historical scheduling exactly; the science would be identical either
-  // way (priorities are scheduling-only).
+  // multi-target engine. FIFO ready order (hence no node priorities) keeps
+  // the historical scheduling exactly; the science would be identical
+  // either way (priorities are scheduling-only).
   MultiCampaignOptions opts;
   opts.ready_order = rct::AppManagerOptions::ReadyOrder::kFifo;
-  opts.critical_path_priority = false;
-  MultiCampaign multi(config_.exec(), opts);
-  multi.add_target(target_, config_.science());
+  MultiCampaign multi(exec_, opts);
+  multi.add_target(target_, science_);
   MultiCampaignReport rep = multi.run(raw);
   return std::move(rep.reports.front());
 }

@@ -175,18 +175,6 @@ struct ExecConfig {
   std::size_t featurize_window = 4096;
 };
 
-/// Compatibility aggregate: the historical flat config is exactly the two
-/// slices joined, so every existing `cfg.field = ...` call site compiles
-/// unchanged while new code passes the slices separately.
-struct CampaignConfig : ScienceConfig, ExecConfig {
-  CampaignConfig() = default;
-  CampaignConfig(ScienceConfig science, ExecConfig exec)
-      : ScienceConfig(std::move(science)), ExecConfig(std::move(exec)) {}
-
-  const ScienceConfig& science() const { return *this; }
-  const ExecConfig& exec() const { return *this; }
-};
-
 /// Per-compound record accumulated across the campaign.
 struct CompoundRecord {
   std::string id;
@@ -243,8 +231,7 @@ struct CampaignReport {
 
 class Campaign {
  public:
-  Campaign(Target target, const CampaignConfig& config);
-  /// Split-config form: per-target science plus shared execution settings.
+  /// Per-target science plus shared execution settings.
   Campaign(Target target, ScienceConfig science, ExecConfig exec);
 
   /// Run the full campaign (blocking). Uses a LocalBackend internally.
@@ -256,12 +243,12 @@ class Campaign {
   /// studies and deterministic scheduling tests).
   CampaignReport run(rct::ExecutionBackend& backend);
 
-  const CampaignConfig& config() const { return config_; }
   const Target& target() const { return target_; }
 
  private:
   Target target_;
-  CampaignConfig config_;
+  ScienceConfig science_;
+  ExecConfig exec_;
 };
 
 }  // namespace impeccable::core

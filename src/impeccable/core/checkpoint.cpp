@@ -33,6 +33,11 @@ void write_checkpoint(const CampaignReport& report, const std::string& path) {
     }
     f << "\n";
   }
+  // A full disk surfaces only on flush: check the closed stream, or a
+  // truncated checkpoint would pass for a good one.
+  f.close();
+  if (!f)
+    throw std::runtime_error("write_checkpoint: write failed for " + path);
 }
 
 std::map<std::string, CompoundRecord> read_checkpoint(const std::string& path) {
@@ -89,6 +94,9 @@ void write_scores_csv(const std::vector<std::pair<std::string, double>>& scores,
     f << id << ',' << (it == id_to_smiles.end() ? "" : it->second) << ','
       << score << "\n";
   }
+  f.close();
+  if (!f)
+    throw std::runtime_error("write_scores_csv: write failed for " + path);
 }
 
 }  // namespace impeccable::core

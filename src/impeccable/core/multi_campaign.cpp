@@ -63,27 +63,23 @@ MultiCampaignReport MultiCampaign::run(rct::ExecutionBackend& backend) {
   } pool_guard(backend.compute_pool());
 
   out.reports.resize(entries_.size());
-  std::vector<std::shared_ptr<stages::CampaignState>> states;
   std::vector<std::vector<stages::CampaignGraphIds>> ids(entries_.size());
   rct::StageGraph graph;
+
+  // Per-target checkpoint files get a ".<name>" suffix when more than one
+  // target shares the ExecConfig, so targets do not clobber each other.
+  const auto target_path = [this](const std::string& path,
+                                  const std::string& name) {
+    return path.empty() || entries_.size() < 2 ? path : path + "." + name;
+  };
 
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     Entry& e = *entries_[i];
     out.targets.push_back(e.name);
 
-    // Compose the per-target view fresh each run (idempotent), suffixing
-    // checkpoint files per target when more than one shares the ExecConfig.
-    e.config = CampaignConfig(e.science, exec_);
-    if (entries_.size() > 1) {
-      if (!e.config.checkpoint_path.empty())
-        e.config.checkpoint_path += "." + e.name;
-      if (!e.config.resume_checkpoint.empty())
-        e.config.resume_checkpoint += "." + e.name;
-    }
-
     CampaignReport& report = out.reports[i];
     auto state = std::make_shared<stages::CampaignState>();
-    state->config = &e.config;
+    state->exec = &exec_;
     state->backend = &backend;
     state->report = &report;
     int iters = 0;
@@ -92,27 +88,27 @@ MultiCampaignReport MultiCampaign::run(rct::ExecutionBackend& backend) {
       iters = e.iterations;
     } else {
       state->target = &e.target;
-      state->init();
-      iters = e.config.iterations;
+      state->science = &e.science;
+      state->checkpoint_path = target_path(exec_.checkpoint_path, e.name);
+      state->init(target_path(exec_.resume_checkpoint, e.name));
+      iters = e.science.iterations;
     }
     report.iterations.resize(static_cast<std::size_t>(iters));
     for (int it = 0; it < iters; ++it)
       report.iterations[static_cast<std::size_t>(it)].iteration = it;
 
     stages::CampaignGraphOptions gopts;
-    gopts.critical_path_priority = opts_.critical_path_priority;
+    gopts.critical_path_priority = critical_path_priority();
     if (opts_.policy && !e.is_virtual) {
-      Entry* entry = &e;
       CampaignReport* rep = &report;
       const std::vector<stages::CampaignGraphIds>* target_ids = &ids[i];
-      gopts.on_s1_merged = [this, entry, i, rep,
-                            target_ids](rct::StageGraph& g, int iter) {
-        apply_policy(g, *entry, i, iter, *rep, *target_ids);
+      gopts.on_s1_merged = [this, i, rep, target_ids](rct::StageGraph& g,
+                                                      int iter) {
+        apply_policy(g, i, iter, *rep, *target_ids);
       };
     }
     ids[i] = stages::add_campaign_graph(graph, state, iters,
-                                        e.config.pipeline_iterations, gopts);
-    states.push_back(std::move(state));
+                                        exec_.pipeline_iterations, gopts);
   }
 
   rct::AppManagerOptions mopts;
@@ -130,7 +126,7 @@ MultiCampaignReport MultiCampaign::run(rct::ExecutionBackend& backend) {
 }
 
 void MultiCampaign::apply_policy(
-    rct::StageGraph& graph, Entry& entry, std::size_t index, int iteration,
+    rct::StageGraph& graph, std::size_t index, int iteration,
     const CampaignReport& report,
     const std::vector<stages::CampaignGraphIds>& ids) const {
   TargetProgress p;
@@ -139,7 +135,7 @@ void MultiCampaign::apply_policy(
   for (const auto& [id, rec] : report.compounds) {
     if (!rec.docked) continue;
     ++p.docked;
-    if (rec.dock_score <= opts_.hit_threshold) ++p.hits;
+    if (rec.dock_score <= kHitThreshold) ++p.hits;
     p.best_dock_score =
         p.docked == 1 ? rec.dock_score : std::min(p.best_dock_score, rec.dock_score);
   }
@@ -149,8 +145,7 @@ void MultiCampaign::apply_policy(
   // yet: this iteration's ensemble tail and all later iterations. Launched
   // nodes keep the priority they ran with (set_priority on them is inert).
   stages::StageTails t;
-  if (opts_.critical_path_priority)
-    t = stages::stage_tails(entry.config.sim_durations);
+  if (critical_path_priority()) t = stages::stage_tails(exec_.sim_durations);
   graph.set_priority(ids[static_cast<std::size_t>(iteration)].cg, t.cg + boost);
   graph.set_priority(ids[static_cast<std::size_t>(iteration)].s2, t.s2 + boost);
   graph.set_priority(ids[static_cast<std::size_t>(iteration)].fg, t.fg + boost);

@@ -4,14 +4,18 @@
 // infrastructure, not one Campaign::run() per target.
 //
 // N CampaignStates (one per Target, each with its own ScienceConfig and
-// CampaignReport) are lowered into a single StageGraph executed by one
-// AppManager on one shared backend. Co-scheduling is science-neutral by
-// construction: every science decision draws from functional per-item seeds
-// (item_seed/iter_salt over the target's own seeds) and every merge is
-// serialized by the engine against per-target state, so each target's
-// science_fingerprint() is bitwise identical to its single-target run — no
-// matter how many targets share the machine, which ReadyOrder the manager
-// uses, or what a TargetPolicy does to the priorities.
+// CampaignReport, all sharing one ExecConfig) are lowered into a single
+// StageGraph executed by one AppManager on one shared backend. run() is the
+// only place a campaign is lowered: Campaign::run() is its one-target case,
+// and the scale benches add virtual targets.
+//
+// Co-scheduling is science-neutral by construction: every science decision
+// draws from functional per-item seeds (item_seed/iter_salt over the
+// target's own seeds) and every merge is serialized by the engine against
+// per-target state, so each target's science_fingerprint() is bitwise
+// identical to its single-target run — no matter how many targets share the
+// machine, which ReadyOrder the manager uses, or what a TargetPolicy does to
+// the priorities.
 //
 // Scheduling is where the targets interact: critical-path node priorities
 // (stages::stage_tails) make CG/S2/FG ensemble waves preempt bulk dock
@@ -29,6 +33,9 @@
 #include "impeccable/core/stages/graph_builder.hpp"
 
 namespace impeccable::core {
+
+/// Dock scores at/below this energy count as hits for TargetProgress.
+inline constexpr double kHitThreshold = -6.0;
 
 /// Observed progress of one target, handed to the TargetPolicy after each
 /// of its S1 feedback merges.
@@ -71,14 +78,11 @@ class HitRatePolicy final : public TargetPolicy {
 
 struct MultiCampaignOptions {
   /// Ready-queue discipline of the shared AppManager. Priority order is the
-  /// point of co-scheduling; kFifo reproduces independent-campaign behavior
-  /// (and is the bench baseline).
+  /// point of co-scheduling and assigns critical-path node priorities
+  /// (stages::stage_tails); kFifo assigns none and reproduces
+  /// independent-campaign behavior (and is the bench baseline).
   rct::AppManagerOptions::ReadyOrder ready_order =
       rct::AppManagerOptions::ReadyOrder::kPriority;
-  /// Critical-path node priorities from sim_durations (stages::stage_tails).
-  bool critical_path_priority = true;
-  /// Dock scores at/below this energy count as hits for TargetProgress.
-  double hit_threshold = -6.0;
   /// Optional per-iteration target re-weighting. Borrowed, may be null;
   /// must outlive run().
   const TargetPolicy* policy = nullptr;
@@ -103,8 +107,9 @@ class MultiCampaign {
 
   /// Add a virtual target driven by a ScaleModel: `iterations` graph
   /// iterations of chunked, calibrated-duration tasks and no-op merges —
-  /// how campaign_at_scale co-schedules heterogeneous 10^8-ligand targets
-  /// on a SimBackend.
+  /// how campaign_at_scale and library_scale drive the real stage modules
+  /// at 10^8-ligand scale on a SimBackend. The model is copied; its replay,
+  /// if any, is borrowed and must outlive run().
   std::size_t add_virtual_target(std::string name, int iterations,
                                  stages::ScaleModel scale);
 
@@ -118,6 +123,7 @@ class MultiCampaign {
   MultiCampaignReport run(rct::ExecutionBackend& backend);
 
  private:
+  /// Heap-stable: a run's CampaignState points into its entry.
   struct Entry {
     std::string name;
     Target target;
@@ -125,13 +131,14 @@ class MultiCampaign {
     stages::ScaleModel scale;
     int iterations = 0;  ///< virtual targets only
     bool is_virtual = false;
-    /// Composed per-target view (science + shared exec), rebuilt each run;
-    /// CampaignState holds a pointer into it, so entries are heap-stable.
-    CampaignConfig config;
   };
 
-  void apply_policy(rct::StageGraph& graph, Entry& entry, std::size_t index,
-                    int iteration, const CampaignReport& report,
+  /// Node priorities reach the backend only under kPriority.
+  bool critical_path_priority() const {
+    return opts_.ready_order == rct::AppManagerOptions::ReadyOrder::kPriority;
+  }
+  void apply_policy(rct::StageGraph& graph, std::size_t index, int iteration,
+                    const CampaignReport& report,
                     const std::vector<stages::CampaignGraphIds>& ids) const;
 
   ExecConfig exec_;

@@ -13,40 +13,40 @@ namespace {
 /// Default on-disk location for a generated library's store: keyed on
 /// (name, size, seed) so repeated runs of the same campaign reuse the spill
 /// instead of regenerating 1e8 compounds.
-std::string default_store_dir(const CampaignConfig& cfg) {
+std::string default_store_dir(const ScienceConfig& sci) {
   char buf[128];
   std::snprintf(buf, sizeof buf, "impeccable-store-%s-%zu-%llu",
-                cfg.library_name.c_str(), cfg.library_size,
-                static_cast<unsigned long long>(cfg.library_seed));
+                sci.library_name.c_str(), sci.library_size,
+                static_cast<unsigned long long>(sci.library_seed));
   return (std::filesystem::temp_directory_path() / buf).string();
 }
 
 }  // namespace
 
-void CampaignState::init() {
-  const CampaignConfig& cfg = *config;
+void CampaignState::init(const std::string& resume_checkpoint) {
+  const ScienceConfig& sci = *science;
 
   chem::SourceOptions sopts;
-  sopts.protonate_ph = cfg.prepare_ligands_at_ph;
+  sopts.protonate_ph = sci.prepare_ligands_at_ph;
 
-  if (cfg.library_backend == ExecConfig::LibraryBackend::kMmapStore) {
-    store_dir = cfg.library_store_dir.empty() ? default_store_dir(cfg)
-                                              : cfg.library_store_dir;
+  if (exec->library_backend == ExecConfig::LibraryBackend::kMmapStore) {
+    store_dir = exec->library_store_dir.empty() ? default_store_dir(sci)
+                                                : exec->library_store_dir;
     chem::LigandStore store = chem::LigandStore::open(store_dir);
-    if (store.size() != cfg.library_size ||
+    if (store.size() != sci.library_size ||
         store.stats().shards_skipped != 0) {
       // Missing, stale, or damaged: regenerate the spill from scratch.
       store = chem::LigandStore();
       std::filesystem::remove_all(store_dir);
-      chem::spill_generated_library(cfg.library_name, cfg.library_size,
-                                    cfg.library_seed, store_dir);
+      chem::spill_generated_library(sci.library_name, sci.library_size,
+                                    sci.library_seed, store_dir);
       store = chem::LigandStore::open(store_dir);
     }
     source = std::make_shared<chem::MmapSource>(std::move(store), sopts);
   } else {
     source = std::make_shared<chem::InMemorySource>(
-        chem::generate_library(cfg.library_name, cfg.library_size,
-                               cfg.library_seed),
+        chem::generate_library(sci.library_name, sci.library_size,
+                               sci.library_seed),
         sopts);
   }
 
@@ -54,8 +54,8 @@ void CampaignState::init() {
   // Checkpoints hold only touched compounds, so resolve their ids to
   // library ordinals in one linear scan (stopping once all are found) —
   // the id_index built here is reused by every later lookup.
-  if (!cfg.resume_checkpoint.empty()) {
-    const auto prev = read_checkpoint(cfg.resume_checkpoint);
+  if (!resume_checkpoint.empty()) {
+    const auto prev = read_checkpoint(resume_checkpoint);
     std::size_t found = 0;
     for (std::size_t i = 0; i < source->size() && found < prev.size(); ++i) {
       const auto it = prev.find(source->id(i));

@@ -128,18 +128,27 @@ struct IterationScratch {
   double iter_begin = 0.0, s1_begin = 0.0, s1_end = 0.0;
 };
 
-/// Campaign-wide shared state. Owned by Campaign::run(); stage modules hold
-/// it through a shared_ptr captured in the graph nodes.
+/// Campaign-wide shared state. Built by MultiCampaign::run() (the only
+/// place a campaign is lowered); stage modules hold it through a shared_ptr
+/// captured in the graph nodes and read only the config half they need.
 struct CampaignState {
   const Target* target = nullptr;
-  const CampaignConfig* config = nullptr;
-  rct::ExecutionBackend* backend = nullptr;  ///< the profiled wrapper
+  /// Per-target science; null for virtual (ScaleModel) targets.
+  const ScienceConfig* science = nullptr;
+  /// The execution config shared by every target of the run.
+  const ExecConfig* exec = nullptr;
+  rct::ExecutionBackend* backend = nullptr;
   CampaignReport* report = nullptr;
   const ScaleModel* scale = nullptr;  ///< non-null = virtual workload mode
 
+  /// This target's checkpoint file: exec->checkpoint_path, resolved when
+  /// the state is built (".<target-name>"-suffixed when several targets
+  /// share the ExecConfig).
+  std::string checkpoint_path;
+
   /// The library, behind a polymorphic source: InMemorySource (eager,
   /// historical behavior) or MmapSource (on-disk store, lazy windows) per
-  /// config->library_backend. Accessors are const and thread-safe; stages
+  /// exec->library_backend. Accessors are const and thread-safe; stages
   /// address ligands by ordinal everywhere.
   std::shared_ptr<const chem::LigandSource> source;
   /// Directory of the on-disk store (empty under kInMemory); iteration
@@ -161,10 +170,10 @@ struct CampaignState {
   std::vector<double> train_scores;
 
   /// Build the ligand source (generate in RAM, or spill/reuse the on-disk
-  /// store), then restore checkpointed records (config->resume_checkpoint)
-  /// into the report and the training set. Requires target/config/report to
-  /// be set. Not used in scale mode.
-  void init();
+  /// store), then restore the records of `resume_checkpoint` (if non-empty)
+  /// into the report and the training set. Requires target/science/exec/
+  /// report to be set. Not used in scale mode.
+  void init(const std::string& resume_checkpoint);
 
   /// The record for library ordinal `index`, created (id, smiles, and
   /// id_index entry) on first touch. Records exist only for touched

@@ -26,13 +26,13 @@ std::vector<rct::TaskDescription> CgEsmacsStage::build(CampaignState& cs) {
     rct::TaskDescription t;
     t.name = "cg-" + s_->dock_results[s_->cg_pick[j]].ligand_id;
     t.gpus = 1;
-    t.duration = cs.config->sim_durations.cg;
+    t.duration = cs.exec->sim_durations.cg;
     t.payload = [st, scratch, j] {
-      fe::EsmacsConfig cfg = st->config->esmacs_cg;
+      fe::EsmacsConfig cfg = st->science->esmacs_cg;
       cfg.keep_trajectories = true;  // S2 consumes the ensembles
       scratch->cg_results[j] = fe::run_esmacs(
           scratch->cg_systems[j], scratch->cg_rotatable[j], cfg,
-          item_seed(st->config->seed,
+          item_seed(st->exec->seed,
                     iter_salt(0xc6, scratch->iteration), j),
           st->backend->compute_pool());
     };

@@ -31,12 +31,12 @@ std::vector<rct::TaskDescription> FgEsmacsStage::build(CampaignState& cs) {
     rct::TaskDescription t;
     t.name = "fg-" + std::to_string(f);
     t.gpus = 1;
-    t.duration = cs.config->sim_durations.fg;
+    t.duration = cs.exec->sim_durations.fg;
     t.payload = [st, scratch, f] {
       scratch->fg_results[f] = fe::run_esmacs(
           scratch->fg_jobs[f].system, scratch->fg_jobs[f].rotatable,
-          st->config->esmacs_fg,
-          item_seed(st->config->seed, iter_salt(0xf6, scratch->iteration), f),
+          st->science->esmacs_fg,
+          item_seed(st->exec->seed, iter_salt(0xf6, scratch->iteration), f),
           st->backend->compute_pool());
     };
     tasks.push_back(std::move(t));
@@ -111,8 +111,8 @@ void FgEsmacsStage::merge(CampaignState& cs) {
 
   // Periodic checkpoint: one consistent snapshot per finished iteration
   // (merges are serialized, so no partial merge can be observed here).
-  if (!cs.config->checkpoint_path.empty())
-    write_checkpoint(*cs.report, cs.config->checkpoint_path);
+  if (!cs.checkpoint_path.empty())
+    write_checkpoint(*cs.report, cs.checkpoint_path);
 
   // Release the bulky per-iteration intermediates (trajectories, systems);
   // the records and metrics above are the iteration's durable output.

@@ -100,16 +100,14 @@ std::vector<CampaignGraphIds> add_campaign_graph(
         {ids.s2});
 
     if (opts.critical_path_priority) {
-      const StageTails t =
-          state->scale ? stage_tails(*state->scale)
-                       : stage_tails(state->config
-                                         ? state->config->sim_durations
-                                         : ExecConfig::StageDurations{});
-      graph.set_priority(ids.ml1, t.ml1 + opts.priority_bias);
-      graph.set_priority(ids.s1, t.s1 + opts.priority_bias);
-      graph.set_priority(ids.cg, t.cg + opts.priority_bias);
-      graph.set_priority(ids.s2, t.s2 + opts.priority_bias);
-      graph.set_priority(ids.fg, t.fg + opts.priority_bias);
+      const StageTails t = state->scale
+                               ? stage_tails(*state->scale)
+                               : stage_tails(state->exec->sim_durations);
+      graph.set_priority(ids.ml1, t.ml1);
+      graph.set_priority(ids.s1, t.s1);
+      graph.set_priority(ids.cg, t.cg);
+      graph.set_priority(ids.s2, t.s2);
+      graph.set_priority(ids.fg, t.fg);
     }
     out.push_back(ids);
   }

@@ -1,8 +1,9 @@
 #pragma once
 // Assembles the campaign's stage graph: five stage modules per iteration,
 // chained ML1 -> S1 -> S3-CG -> S2 -> S3-FG, plus the cross-iteration
-// feedback edge. Used by Campaign::run() and by the scale benches (which
-// install a ScaleModel on the state and run the same graph on a SimBackend).
+// feedback edge. Called only by MultiCampaign::run(), for real targets and
+// for virtual ones (a ScaleModel on the state, e.g. the scale benches on a
+// SimBackend) alike.
 
 #include <functional>
 #include <memory>
@@ -21,17 +22,15 @@ struct CampaignGraphIds {
 };
 
 struct CampaignGraphOptions {
-  /// Assign critical-path node priorities from config->sim_durations: each
-  /// node's priority is the ensemble tail it gates within its iteration
-  /// (CG -> cg+s2+fg, S2 -> s2+fg, FG -> fg, ML1 -> ml1+cg+s2+fg since it
-  /// gates the whole chain at near-zero cost, S1 -> dock), so
-  /// under ReadyOrder::kPriority the long CG/S2/FG waves that gate the
-  /// pipelined makespan preempt bulk ML1/S1 work in the backend queues.
+  /// Assign critical-path node priorities from exec->sim_durations (or the
+  /// state's ScaleModel for virtual targets): each node's priority is the
+  /// ensemble tail it gates within its iteration (CG -> cg+s2+fg, S2 ->
+  /// s2+fg, FG -> fg, ML1 -> ml1+cg+s2+fg since it gates the whole chain at
+  /// near-zero cost, S1 -> dock), so under ReadyOrder::kPriority the long
+  /// CG/S2/FG waves that gate the pipelined makespan preempt bulk ML1/S1
+  /// work in the backend queues.
   /// Scheduling-only: priorities never change what any stage computes.
   bool critical_path_priority = false;
-  /// Added to every node priority of this graph — the per-target weight a
-  /// TargetPolicy steers (rich targets outbid stale ones).
-  double priority_bias = 0.0;
   /// Runs (serialized with all merges) right after iteration `iter`'s S1
   /// feedback merge — the earliest point realized hit rates exist.
   /// MultiCampaign re-weights this target's not-yet-launched nodes from
@@ -57,7 +56,7 @@ std::vector<CampaignGraphIds> add_campaign_graph(
     int iterations, bool pipelined, const CampaignGraphOptions& opts = {});
 
 /// The per-stage critical-path priorities used under
-/// CampaignGraphOptions::critical_path_priority (before priority_bias).
+/// CampaignGraphOptions::critical_path_priority.
 struct StageTails {
   double ml1 = 0.0, s1 = 0.0, cg = 0.0, s2 = 0.0, fg = 0.0;
 };

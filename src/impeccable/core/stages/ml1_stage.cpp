@@ -45,11 +45,11 @@ std::vector<rct::TaskDescription> Ml1Stage::build(CampaignState& cs) {
     return tasks;
   }
 
-  surrogate_ = std::make_unique<ml::SurrogateModel>(cs.config->surrogate);
+  surrogate_ = std::make_unique<ml::SurrogateModel>(cs.science->surrogate);
 
   rct::TaskDescription t;
   t.name = "ml1-train-infer";
-  t.duration = cs.config->sim_durations.ml1;
+  t.duration = cs.exec->sim_durations.ml1;
   CampaignState* st = &cs;
   t.payload = [this, st] {
     // Iteration 0 has no training data yet; the merge step bootstraps with
@@ -67,7 +67,7 @@ std::vector<rct::TaskDescription> Ml1Stage::build(CampaignState& cs) {
     // spill (file-backed when the library itself is out-of-core, so neither
     // images nor scores ever materialize at library scale).
     const std::size_t n = st->source->size();
-    const bool out_of_core = st->config->library_backend ==
+    const bool out_of_core = st->exec->library_backend ==
                              ExecConfig::LibraryBackend::kMmapStore;
     auto spill = std::make_shared<ml::ScoreSpill>(
         out_of_core
@@ -76,13 +76,13 @@ std::vector<rct::TaskDescription> Ml1Stage::build(CampaignState& cs) {
                          std::to_string(iter_) + ".f32")
             : ml::ScoreSpill::in_memory(n));
     ml::score_ligands(*st->source, *surrogate_, 0, n,
-                      st->config->featurize_window, spill.get());
+                      st->exec->featurize_window, spill.get());
     s_->scores = std::move(spill);
     st->report->flops->add(
         "ML1", surrogate_->flops_per_image() *
                    (n + 3 * st->train_images.size() *
                             static_cast<std::size_t>(
-                                st->config->surrogate.epochs)));
+                                st->science->surrogate.epochs)));
   };
   return {std::move(t)};
 }
@@ -97,12 +97,12 @@ void Ml1Stage::merge(CampaignState& cs) {
     }
     return;
   }
-  const CampaignConfig& cfg = *cs.config;
+  const ScienceConfig& sci = *cs.science;
   const std::size_t n = cs.source->size();
   // Per-(iteration, stage) stream: selection randomness is independent of
   // how many draws earlier iterations consumed, so sequential and pipelined
   // mode select identical compounds.
-  common::Rng rng(item_seed(cfg.seed, iter_salt(0x311, iter_), 0));
+  common::Rng rng(item_seed(cs.exec->seed, iter_salt(0x311, iter_), 0));
 
   // The enrichment denominator: every ML1 pass covers the whole library,
   // including the warm-up iteration (whose untrained surrogate scores
@@ -117,7 +117,7 @@ void Ml1Stage::merge(CampaignState& cs) {
     // property checkpoint/resume tests rely on. O(budget) memory, unlike
     // shuffling a materialized [0, n) permutation.
     std::set<std::size_t> seen;
-    const std::size_t want = std::min(cfg.bootstrap_docks, n);
+    const std::size_t want = std::min(sci.bootstrap_docks, n);
     while (seen.size() < want) {
       const std::size_t idx = rng.index(n);
       if (seen.insert(idx).second) chosen.push_back(idx);
@@ -125,9 +125,9 @@ void Ml1Stage::merge(CampaignState& cs) {
   } else {
     const ml::ScoreSpill& scores = *s_->scores;
     std::size_t budget = std::max<std::size_t>(
-        4, static_cast<std::size_t>(cfg.dock_top_fraction *
+        4, static_cast<std::size_t>(sci.dock_top_fraction *
                                     static_cast<double>(n)));
-    if (cfg.auto_dock_budget) {
+    if (sci.auto_dock_budget) {
       // Validation set: compounds with both a surrogate prediction and a
       // docking ground truth — exactly the docked ordinals, in index order.
       std::vector<double> pred, truth;
@@ -139,14 +139,14 @@ void Ml1Stage::merge(CampaignState& cs) {
       if (pred.size() >= 20) {
         const ml::EnrichmentSurface res(pred, truth);
         const double frac =
-            res.budget_for(cfg.auto_budget_top, cfg.auto_budget_coverage);
+            res.budget_for(sci.auto_budget_top, sci.auto_budget_coverage);
         budget = std::clamp<std::size_t>(
             static_cast<std::size_t>(frac * static_cast<double>(n)), 4,
             n / 2);
       }
     }
     const std::size_t explore = static_cast<std::size_t>(
-        cfg.explore_fraction * static_cast<double>(budget));
+        sci.explore_fraction * static_cast<double>(budget));
     const std::size_t top = budget - explore;
     // The top slice comes from the external-memory streaming top-k: exact,
     // bounded memory, ties broken to the lower library index.

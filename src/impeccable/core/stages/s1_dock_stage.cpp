@@ -34,14 +34,14 @@ std::vector<rct::TaskDescription> S1DockStage::build(CampaignState& cs) {
     rct::TaskDescription t;
     t.name = "dock-" + cs.source->id(s_->dock_indices[i]);
     t.gpus = 1;
-    t.duration = cs.config->sim_durations.dock;
+    t.duration = cs.exec->sim_durations.dock;
     t.payload = [st, scratch, i] {
       const Target& target = *st->target;
-      dock::DockOptions dopts = st->config->dock;
+      dock::DockOptions dopts = st->science->dock;
       const std::size_t idx = scratch->dock_indices[i];
       // Seeded by the global library index, not the iteration: a compound
       // docks identically no matter which iteration selects it.
-      dopts.seed = item_seed(st->config->seed, 0xd0c, idx);
+      dopts.seed = item_seed(st->exec->seed, 0xd0c, idx);
       dopts.pool = st->backend->compute_pool();
       const std::string id = st->source->id(idx);
       // Parse (and protonate) here, on a worker, into this task's own
@@ -53,10 +53,10 @@ std::vector<rct::TaskDescription> S1DockStage::build(CampaignState& cs) {
       if (target.grids.size() > 1) {
         scratch->dock_results[i] = dock::dock_multi_structure(
             target.grids, scratch->molecules[i], id, dopts);
-      } else if (st->config->conformers_per_ligand > 1) {
+      } else if (st->science->conformers_per_ligand > 1) {
         scratch->dock_results[i] = dock::dock_conformer_ensemble(
             *target.grid, scratch->molecules[i], id,
-            st->config->conformers_per_ligand, dopts);
+            st->science->conformers_per_ligand, dopts);
       } else {
         scratch->dock_results[i] =
             dock::dock(*target.grid, scratch->molecules[i], id, dopts);
@@ -93,8 +93,8 @@ void S1DockStage::merge(CampaignState& cs) {
   for (const auto& mol : s_->molecules)
     fps.push_back(chem::morgan_fingerprint(mol));
   s_->cg_pick = chem::maxmin_pick(
-      fps, std::min(cs.config->cg_compounds, fps.size()),
-      item_seed(cs.config->seed, iter_salt(0xd17, iter_), 0));
+      fps, std::min(cs.science->cg_compounds, fps.size()),
+      item_seed(cs.exec->seed, iter_salt(0xd17, iter_), 0));
 
   s_->cg_systems.reserve(s_->cg_pick.size());
   s_->cg_rotatable.reserve(s_->cg_pick.size());

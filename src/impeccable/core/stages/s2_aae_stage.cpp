@@ -26,7 +26,7 @@ std::vector<rct::TaskDescription> S2AaeStage::build(CampaignState& cs) {
   rct::TaskDescription t;
   t.name = "aae-train-lof";
   t.gpus = 6;  // the paper trains with 6 GPUs per model
-  t.duration = cs.config->sim_durations.s2;
+  t.duration = cs.exec->sim_durations.s2;
   CampaignState* st = &cs;
   auto scratch = s_;
   t.payload = [st, scratch] {
@@ -37,7 +37,7 @@ std::vector<rct::TaskDescription> S2AaeStage::build(CampaignState& cs) {
       return scratch->cg_results[a].binding_free_energy <
              scratch->cg_results[b].binding_free_energy;
     });
-    order.resize(std::min(st->config->top_binders, order.size()));
+    order.resize(std::min(st->science->top_binders, order.size()));
 
     // Collect Cα point clouds from every frame of every replica of the
     // selected compounds.
@@ -60,14 +60,14 @@ std::vector<rct::TaskDescription> S2AaeStage::build(CampaignState& cs) {
     }
     if (clouds.empty()) return;
 
-    ml::Aae3d aae(static_cast<int>(clouds.front().size()), st->config->aae);
+    ml::Aae3d aae(static_cast<int>(clouds.front().size()), st->science->aae);
     aae.train(clouds);
     const auto latent = aae.embed_batch(clouds);
     const auto lof = ml::local_outlier_factor(
         latent, std::min<int>(10, static_cast<int>(latent.size()) - 1));
     st->report->flops->add(
         "S2", aae.flops_per_sample() * clouds.size() *
-                  static_cast<std::uint64_t>(st->config->aae.epochs));
+                  static_cast<std::uint64_t>(st->science->aae.epochs));
 
     // Per binder: the most outlying conformations seed S3-FG.
     for (std::size_t j : order) {
@@ -76,7 +76,7 @@ std::vector<rct::TaskDescription> S2AaeStage::build(CampaignState& cs) {
         if (refs[c].cg_index == j) mine.emplace_back(lof[c], c);
       std::sort(mine.rbegin(), mine.rend());
       const std::size_t take =
-          std::min(st->config->outliers_per_binder, mine.size());
+          std::min(st->science->outliers_per_binder, mine.size());
       for (std::size_t o = 0; o < take; ++o) {
         const CloudRef& ref = refs[mine[o].second];
         IterationScratch::FgJob job;

@@ -20,36 +20,42 @@ namespace rct = impeccable::rct;
 
 namespace {
 
-core::CampaignConfig graph_config() {
-  core::CampaignConfig cfg;
-  cfg.library_size = 40;
-  cfg.iterations = 2;
-  cfg.bootstrap_docks = 12;
-  cfg.dock_top_fraction = 0.3;
-  cfg.cg_compounds = 3;
-  cfg.top_binders = 2;
-  cfg.outliers_per_binder = 2;
+core::ScienceConfig graph_science() {
+  core::ScienceConfig sci;
+  sci.library_size = 40;
+  sci.iterations = 2;
+  sci.bootstrap_docks = 12;
+  sci.dock_top_fraction = 0.3;
+  sci.cg_compounds = 3;
+  sci.top_binders = 2;
+  sci.outliers_per_binder = 2;
   // Slim down every engine for test speed.
-  cfg.dock.runs = 1;
-  cfg.dock.lga.population = 12;
-  cfg.dock.lga.generations = 5;
-  cfg.esmacs_cg = fe::cg_config(0.25);
-  cfg.esmacs_cg.replicas = 3;
-  cfg.esmacs_fg = fe::fg_config(0.1);
-  cfg.esmacs_fg.replicas = 3;
-  cfg.surrogate.epochs = 2;
-  cfg.aae.epochs = 2;
-  cfg.seed = 17;
-  cfg.threads = 2;
-  return cfg;
+  sci.dock.runs = 1;
+  sci.dock.lga.population = 12;
+  sci.dock.lga.generations = 5;
+  sci.esmacs_cg = fe::cg_config(0.25);
+  sci.esmacs_cg.replicas = 3;
+  sci.esmacs_fg = fe::fg_config(0.1);
+  sci.esmacs_fg.replicas = 3;
+  sci.surrogate.epochs = 2;
+  sci.aae.epochs = 2;
+  return sci;
+}
+
+core::ExecConfig graph_exec() {
+  core::ExecConfig exec;
+  exec.seed = 17;
+  exec.threads = 2;
+  return exec;
 }
 
 core::Target graph_target() {
   return core::Target::make("MPro-like", 99, 36, 19);
 }
 
-std::string run_fingerprint(const core::CampaignConfig& cfg) {
-  core::Campaign campaign(graph_target(), cfg);
+std::string run_fingerprint(const core::ScienceConfig& sci,
+                            const core::ExecConfig& exec) {
+  core::Campaign campaign(graph_target(), sci, exec);
   return campaign.run().science_fingerprint();
 }
 
@@ -58,7 +64,7 @@ std::string run_fingerprint(const core::CampaignConfig& cfg) {
 TEST(CampaignGraph, ProducesSameScienceAsAlways) {
   // Sanity on the refactored loop: both iterations ran, feedback reached
   // ML1, and downstream stages saw work.
-  core::Campaign campaign(graph_target(), graph_config());
+  core::Campaign campaign(graph_target(), graph_science(), graph_exec());
   const auto report = campaign.run();
   ASSERT_EQ(report.iterations.size(), 2u);
   EXPECT_EQ(report.iterations[0].docked, 12u);
@@ -74,44 +80,45 @@ TEST(CampaignGraph, ProducesSameScienceAsAlways) {
 }
 
 TEST(CampaignGraph, FingerprintInvariantToThreadCount) {
-  core::CampaignConfig one = graph_config();
+  core::ExecConfig one = graph_exec();
   one.threads = 1;
-  core::CampaignConfig many = graph_config();
+  core::ExecConfig many = graph_exec();
   many.threads = 4;
-  EXPECT_EQ(run_fingerprint(one), run_fingerprint(many));
+  EXPECT_EQ(run_fingerprint(graph_science(), one),
+            run_fingerprint(graph_science(), many));
 }
 
 TEST(CampaignGraph, PipelinedModeIsBitwiseIdenticalToSequential) {
-  core::CampaignConfig seq = graph_config();
-  seq.iterations = 3;
-  core::CampaignConfig pip = seq;
+  core::ScienceConfig sci = graph_science();
+  sci.iterations = 3;
+  const core::ExecConfig seq = graph_exec();
+  core::ExecConfig pip = seq;
   pip.pipeline_iterations = true;
   pip.threads = 4;  // maximize overlap; science must not notice
-  EXPECT_EQ(run_fingerprint(seq), run_fingerprint(pip));
+  EXPECT_EQ(run_fingerprint(sci, seq), run_fingerprint(sci, pip));
 }
 
 TEST(CampaignGraph, SimBackendMatchesLocalBackend) {
   // The same stage modules drive both backends; virtual time vs wall time
   // must not leak into the science.
-  const core::CampaignConfig cfg = graph_config();
-  core::Campaign local_campaign(graph_target(), cfg);
+  core::Campaign local_campaign(graph_target(), graph_science(), graph_exec());
   const std::string local_fp = local_campaign.run().science_fingerprint();
 
   rct::SimBackend sim(hpc::test_machine(4));
-  core::Campaign sim_campaign(graph_target(), cfg);
+  core::Campaign sim_campaign(graph_target(), graph_science(), graph_exec());
   const std::string sim_fp = sim_campaign.run(sim).science_fingerprint();
   EXPECT_EQ(local_fp, sim_fp);
 }
 
 TEST(CampaignGraph, PipeliningReducesVirtualMakespan) {
-  core::CampaignConfig cfg = graph_config();
-  cfg.iterations = 3;
+  core::ScienceConfig sci = graph_science();
+  sci.iterations = 3;
 
   auto makespan = [&](bool pipelined) {
-    core::CampaignConfig c = cfg;
-    c.pipeline_iterations = pipelined;
+    core::ExecConfig exec = graph_exec();
+    exec.pipeline_iterations = pipelined;
     rct::SimBackend sim(hpc::test_machine(8));
-    core::Campaign campaign(graph_target(), c);
+    core::Campaign campaign(graph_target(), sci, exec);
     const auto report = campaign.run(sim);
     return report.profile.makespan();
   };
@@ -129,10 +136,11 @@ TEST(CampaignGraph, CheckpointEveryIterationSurvivesKillAndResume) {
 
   // Leg 1: a campaign killed after its first iteration — modeled by running
   // one iteration with periodic checkpointing on.
-  core::CampaignConfig leg1 = graph_config();
-  leg1.iterations = 1;
+  core::ScienceConfig sci1 = graph_science();
+  sci1.iterations = 1;
+  core::ExecConfig leg1 = graph_exec();
   leg1.checkpoint_path = ckpt1;
-  core::Campaign first(graph_target(), leg1);
+  core::Campaign first(graph_target(), sci1, leg1);
   const auto report1 = first.run();
   const auto saved = core::read_checkpoint(ckpt1);
   std::size_t saved_docked = 0;
@@ -143,12 +151,13 @@ TEST(CampaignGraph, CheckpointEveryIterationSurvivesKillAndResume) {
   // Leg 2: resume mid-campaign. Same seed => the bootstrap permutation is
   // identical, so the first 12 picks are exactly the already-docked set and
   // only the 12 fresh ones dock again.
-  core::CampaignConfig leg2 = graph_config();
-  leg2.iterations = 1;
-  leg2.bootstrap_docks = 24;
+  core::ScienceConfig sci2 = graph_science();
+  sci2.iterations = 1;
+  sci2.bootstrap_docks = 24;
+  core::ExecConfig leg2 = graph_exec();
   leg2.resume_checkpoint = ckpt1;
   leg2.checkpoint_path = ckpt2;
-  core::Campaign second(graph_target(), leg2);
+  core::Campaign second(graph_target(), sci2, leg2);
   const auto report2 = second.run();
 
   EXPECT_EQ(report2.iterations[0].docked, 12u);  // no redone work
@@ -177,18 +186,19 @@ TEST(CampaignGraph, RetryConfigFlowsThroughToTheEngine) {
   // max_retries/stage_transition_overhead now come from the config; a
   // campaign on a walltime-limited pilot retries the killed tasks and
   // still completes all science.
-  core::CampaignConfig cfg = graph_config();
-  cfg.iterations = 1;
-  cfg.max_retries = 4;
-  cfg.stage_transition_overhead = 0.1;
+  core::ScienceConfig sci = graph_science();
+  sci.iterations = 1;
+  core::ExecConfig exec = graph_exec();
+  exec.max_retries = 4;
+  exec.stage_transition_overhead = 0.1;
   // Every task fits inside one pilot window, so a task killed mid-window
   // always succeeds when retried at the boundary.
-  cfg.sim_durations = {.ml1 = 5.0, .dock = 1.0, .cg = 8.0, .s2 = 5.0, .fg = 8.0};
+  exec.sim_durations = {.ml1 = 5.0, .dock = 1.0, .cg = 8.0, .s2 = 5.0, .fg = 8.0};
 
   rct::SimBackendOptions sopts;
   sopts.pilot_walltime = 10.0;  // several pilots per campaign
   rct::SimBackend sim(hpc::test_machine(4), sopts);
-  core::Campaign campaign(graph_target(), cfg);
+  core::Campaign campaign(graph_target(), sci, exec);
   const auto report = campaign.run(sim);
   EXPECT_GT(sim.pilot_generation(), 1);
   EXPECT_EQ(report.iterations[0].docked, 12u);

@@ -16,26 +16,31 @@ namespace fe = impeccable::fe;
 
 namespace {
 
-core::CampaignConfig mini_config(int iterations) {
-  core::CampaignConfig cfg;
-  cfg.library_size = 40;
-  cfg.iterations = iterations;
-  cfg.bootstrap_docks = 10;
-  cfg.dock_top_fraction = 0.3;
-  cfg.cg_compounds = 2;
-  cfg.top_binders = 1;
-  cfg.outliers_per_binder = 1;
-  cfg.dock.runs = 1;
-  cfg.dock.lga.population = 12;
-  cfg.dock.lga.generations = 4;
-  cfg.esmacs_cg = fe::cg_config(0.2);
-  cfg.esmacs_cg.replicas = 2;
-  cfg.esmacs_fg = fe::fg_config(0.05);
-  cfg.esmacs_fg.replicas = 2;
-  cfg.surrogate.epochs = 2;
-  cfg.aae.epochs = 2;
-  cfg.seed = 77;
-  return cfg;
+core::ScienceConfig mini_science(int iterations) {
+  core::ScienceConfig sci;
+  sci.library_size = 40;
+  sci.iterations = iterations;
+  sci.bootstrap_docks = 10;
+  sci.dock_top_fraction = 0.3;
+  sci.cg_compounds = 2;
+  sci.top_binders = 1;
+  sci.outliers_per_binder = 1;
+  sci.dock.runs = 1;
+  sci.dock.lga.population = 12;
+  sci.dock.lga.generations = 4;
+  sci.esmacs_cg = fe::cg_config(0.2);
+  sci.esmacs_cg.replicas = 2;
+  sci.esmacs_fg = fe::fg_config(0.05);
+  sci.esmacs_fg.replicas = 2;
+  sci.surrogate.epochs = 2;
+  sci.aae.epochs = 2;
+  return sci;
+}
+
+core::ExecConfig mini_exec() {
+  core::ExecConfig exec;
+  exec.seed = 77;
+  return exec;
 }
 
 std::filesystem::path tmp(const char* name) {
@@ -117,6 +122,23 @@ TEST(Checkpoint, RoundTripIsBitwiseLossless) {
   }
 }
 
+TEST(Checkpoint, WriteFailureThrows) {
+  // /dev/full opens fine but every write fails with ENOSPC: the error only
+  // shows when the buffered rows are flushed, and must not pass silently.
+  core::CampaignReport report;
+  core::CompoundRecord r;
+  r.id = "X-1";
+  r.smiles = "CCO";
+  report.compounds[r.id] = r;
+  EXPECT_THROW(core::write_checkpoint(report, "/dev/full"), std::runtime_error);
+}
+
+TEST(Checkpoint, ScoresCsvWriteFailureThrows) {
+  EXPECT_THROW(
+      core::write_scores_csv({{"A", -1.5}}, {{"A", "CCO"}}, "/dev/full"),
+      std::runtime_error);
+}
+
 TEST(Checkpoint, RejectsMalformedFiles) {
   const auto path = tmp("imp_bad_ckpt.csv");
   {
@@ -140,7 +162,7 @@ TEST(Checkpoint, ResumeSkipsFinishedDockingWork) {
 
   // First leg: one iteration.
   core::Target t1 = core::Target::make("R", 5, 30, 15);
-  core::Campaign first(std::move(t1), mini_config(1));
+  core::Campaign first(std::move(t1), mini_science(1), mini_exec());
   const auto rep1 = first.run();
   core::write_checkpoint(rep1, path.string());
   std::size_t docked1 = 0;
@@ -150,10 +172,10 @@ TEST(Checkpoint, ResumeSkipsFinishedDockingWork) {
 
   // Second leg resumes: with the same seed, the bootstrap set is identical,
   // so no compound is re-docked.
-  auto cfg = mini_config(1);
-  cfg.resume_checkpoint = path.string();
+  core::ExecConfig exec = mini_exec();
+  exec.resume_checkpoint = path.string();
   core::Target t2 = core::Target::make("R", 5, 30, 15);
-  core::Campaign second(std::move(t2), cfg);
+  core::Campaign second(std::move(t2), mini_science(1), exec);
   const auto rep2 = second.run();
   EXPECT_EQ(rep2.iterations[0].docked, 0u);
 

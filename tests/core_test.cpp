@@ -12,33 +12,38 @@ namespace fe = impeccable::fe;
 
 namespace {
 
-core::CampaignConfig tiny_config() {
-  core::CampaignConfig cfg;
-  cfg.library_size = 60;
-  cfg.iterations = 2;
-  cfg.bootstrap_docks = 16;
-  cfg.dock_top_fraction = 0.25;
-  cfg.cg_compounds = 4;
-  cfg.top_binders = 2;
-  cfg.outliers_per_binder = 2;
+core::ScienceConfig tiny_science() {
+  core::ScienceConfig sci;
+  sci.library_size = 60;
+  sci.iterations = 2;
+  sci.bootstrap_docks = 16;
+  sci.dock_top_fraction = 0.25;
+  sci.cg_compounds = 4;
+  sci.top_binders = 2;
+  sci.outliers_per_binder = 2;
   // Slim down every engine for test speed.
-  cfg.dock.runs = 1;
-  cfg.dock.lga.population = 16;
-  cfg.dock.lga.generations = 6;
-  cfg.esmacs_cg = fe::cg_config(0.3);
-  cfg.esmacs_cg.replicas = 3;
-  cfg.esmacs_fg = fe::fg_config(0.1);
-  cfg.esmacs_fg.replicas = 4;
-  cfg.surrogate.epochs = 3;
-  cfg.aae.epochs = 3;
-  cfg.seed = 11;
-  return cfg;
+  sci.dock.runs = 1;
+  sci.dock.lga.population = 16;
+  sci.dock.lga.generations = 6;
+  sci.esmacs_cg = fe::cg_config(0.3);
+  sci.esmacs_cg.replicas = 3;
+  sci.esmacs_fg = fe::fg_config(0.1);
+  sci.esmacs_fg.replicas = 4;
+  sci.surrogate.epochs = 3;
+  sci.aae.epochs = 3;
+  return sci;
+}
+
+core::ExecConfig tiny_exec() {
+  core::ExecConfig exec;
+  exec.seed = 11;
+  return exec;
 }
 
 const core::CampaignReport& tiny_report() {
   static const core::CampaignReport report = [] {
     core::Target target = core::Target::make("PLPro-like", 42, 40, 21);
-    core::Campaign campaign(std::move(target), tiny_config());
+    core::Campaign campaign(std::move(target), tiny_science(), tiny_exec());
     return campaign.run();
   }();
   return report;
@@ -139,17 +144,17 @@ TEST(Target, MakeIsDeterministic) {
 }
 
 TEST(Campaign, AutoBudgetSizesDockingFromRes) {
-  core::CampaignConfig cfg = tiny_config();
-  cfg.auto_dock_budget = true;
-  cfg.auto_budget_top = 0.05;
-  cfg.auto_budget_coverage = 0.5;
-  cfg.bootstrap_docks = 24;  // >= 20 docked validation points for the RES
+  core::ScienceConfig sci = tiny_science();
+  sci.auto_dock_budget = true;
+  sci.auto_budget_top = 0.05;
+  sci.auto_budget_coverage = 0.5;
+  sci.bootstrap_docks = 24;  // >= 20 docked validation points for the RES
   core::Target target = core::Target::make("auto", 43, 40, 21);
-  core::Campaign campaign(std::move(target), cfg);
+  core::Campaign campaign(std::move(target), sci, tiny_exec());
   const auto report = campaign.run();
   ASSERT_EQ(report.iterations.size(), 2u);
   // The second iteration's budget came from the RES: bounded by the clamp
   // [4, library/2] and by construction different from the bootstrap.
   EXPECT_GE(report.iterations[1].docked, 1u);
-  EXPECT_LE(report.iterations[1].docked, cfg.library_size / 2);
+  EXPECT_LE(report.iterations[1].docked, sci.library_size / 2);
 }

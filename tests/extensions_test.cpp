@@ -156,26 +156,26 @@ TEST(MultiStructure, TargetEnsembleBuildsVariants) {
 // ------------------------------------------------- multi-structure campaign
 
 TEST(CampaignMultiStructure, RunsWithCrystalEnsembleAndConformers) {
-  core::CampaignConfig cfg;
-  cfg.library_size = 30;
-  cfg.iterations = 1;
-  cfg.bootstrap_docks = 8;
-  cfg.cg_compounds = 2;
-  cfg.top_binders = 1;
-  cfg.outliers_per_binder = 1;
-  cfg.conformers_per_ligand = 2;  // exercised when grids.size() == 1
-  cfg.dock.runs = 1;
-  cfg.dock.lga.population = 12;
-  cfg.dock.lga.generations = 4;
-  cfg.esmacs_cg = impeccable::fe::cg_config(0.2);
-  cfg.esmacs_cg.replicas = 2;
-  cfg.esmacs_fg = impeccable::fe::fg_config(0.05);
-  cfg.esmacs_fg.replicas = 2;
-  cfg.aae.epochs = 2;
+  core::ScienceConfig sci;
+  sci.library_size = 30;
+  sci.iterations = 1;
+  sci.bootstrap_docks = 8;
+  sci.cg_compounds = 2;
+  sci.top_binders = 1;
+  sci.outliers_per_binder = 1;
+  sci.conformers_per_ligand = 2;  // exercised when grids.size() == 1
+  sci.dock.runs = 1;
+  sci.dock.lga.population = 12;
+  sci.dock.lga.generations = 4;
+  sci.esmacs_cg = impeccable::fe::cg_config(0.2);
+  sci.esmacs_cg.replicas = 2;
+  sci.esmacs_fg = impeccable::fe::fg_config(0.05);
+  sci.esmacs_fg.replicas = 2;
+  sci.aae.epochs = 2;
 
   core::Target target = core::Target::make("multi", 9, 30, 15,
                                            /*crystal_structures=*/2);
-  core::Campaign campaign(std::move(target), cfg);
+  core::Campaign campaign(std::move(target), sci, core::ExecConfig{});
   const auto report = campaign.run();
   ASSERT_EQ(report.iterations.size(), 1u);
   EXPECT_EQ(report.iterations[0].docked, 8u);

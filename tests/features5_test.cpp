@@ -122,7 +122,8 @@ TEST(ProfileCsv, WritesOneRowPerTask) {
   backend.set_recorder(&rec);
   for (int i = 0; i < 3; ++i) {
     rct::TaskDescription t;
-    t.name = "t" + std::to_string(i);
+    t.name = "t";
+    t.name += std::to_string(i);
     t.gpus = 1;
     t.duration = 2.0;
     backend.submit(t, [](const rct::TaskResult&) {});

@@ -260,7 +260,8 @@ TEST(StageGraph, LocalBackendRunsIndependentNodesConcurrently) {
   rct::StageGraph g;
   for (int n = 0; n < 8; ++n) {
     rct::StageNode node;
-    node.name = "n" + std::to_string(n);
+    node.name = "n";
+    node.name += std::to_string(n);
     node.pipeline = "concurrent";
     for (int i = 0; i < 4; ++i) {
       rct::TaskDescription t;

@@ -155,7 +155,8 @@ TEST(SimBackend, ExecutesTasksInVirtualTime) {
   std::vector<rct::TaskResult> results;
   for (int i = 0; i < 3; ++i) {
     rct::TaskDescription t;
-    t.name = "t" + std::to_string(i);
+    t.name = "t";
+    t.name += std::to_string(i);
     t.gpus = 1;
     t.duration = 10.0;
     backend.submit(t, [&](const rct::TaskResult& r) { results.push_back(r); });
@@ -341,7 +342,8 @@ TEST(Entk, WorksOnLocalBackendWithRealPayloads) {
   rct::StageNode s1{.name = "s1", .pipeline = "local"};
   for (int i = 0; i < 6; ++i) {
     rct::TaskDescription t;
-    t.name = "w" + std::to_string(i);
+    t.name = "w";
+    t.name += std::to_string(i);
     t.payload = [&] { stage1.fetch_add(1); };
     s1.tasks.push_back(std::move(t));
   }

@@ -31,28 +31,46 @@ std::filesystem::path tmp_dir(const std::string& name) {
   return std::filesystem::temp_directory_path() / name;
 }
 
-/// A slim two-iteration campaign config (mirrors core_test's tiny_config).
-core::CampaignConfig slim_config() {
-  core::CampaignConfig cfg;
-  cfg.library_size = 60;
-  cfg.iterations = 2;
-  cfg.bootstrap_docks = 12;
-  cfg.dock_top_fraction = 0.2;
-  cfg.cg_compounds = 3;
-  cfg.top_binders = 2;
-  cfg.outliers_per_binder = 2;
-  cfg.dock.runs = 1;
-  cfg.dock.lga.population = 16;
-  cfg.dock.lga.generations = 6;
-  cfg.esmacs_cg = fe::cg_config(0.3);
-  cfg.esmacs_cg.replicas = 3;
-  cfg.esmacs_fg = fe::fg_config(0.1);
-  cfg.esmacs_fg.replicas = 4;
-  cfg.surrogate.epochs = 3;
-  cfg.aae.epochs = 3;
-  cfg.seed = 23;
-  cfg.featurize_window = 17;  // deliberately not a divisor of 60
-  return cfg;
+/// "LIG-<i>" and a 2..6-carbon chain: the round-trip test's records.
+std::string lig_id(std::size_t i) {
+  std::string id = "LIG-";
+  id += std::to_string(i);
+  return id;
+}
+
+std::string lig_smiles(std::size_t i) {
+  std::string smiles = "C";
+  smiles.append(i % 5 + 1, 'C');
+  return smiles;
+}
+
+/// A slim two-iteration campaign (mirrors core_test's tiny_science).
+core::ScienceConfig slim_science() {
+  core::ScienceConfig sci;
+  sci.library_size = 60;
+  sci.iterations = 2;
+  sci.bootstrap_docks = 12;
+  sci.dock_top_fraction = 0.2;
+  sci.cg_compounds = 3;
+  sci.top_binders = 2;
+  sci.outliers_per_binder = 2;
+  sci.dock.runs = 1;
+  sci.dock.lga.population = 16;
+  sci.dock.lga.generations = 6;
+  sci.esmacs_cg = fe::cg_config(0.3);
+  sci.esmacs_cg.replicas = 3;
+  sci.esmacs_fg = fe::fg_config(0.1);
+  sci.esmacs_fg.replicas = 4;
+  sci.surrogate.epochs = 3;
+  sci.aae.epochs = 3;
+  return sci;
+}
+
+core::ExecConfig slim_exec() {
+  core::ExecConfig exec;
+  exec.seed = 23;
+  exec.featurize_window = 17;  // deliberately not a divisor of 60
+  return exec;
 }
 
 }  // namespace
@@ -67,8 +85,7 @@ TEST(LigandStore, WriterReaderRoundTrip) {
     chem::StoreWriterOptions opts;
     opts.records_per_shard = 7;  // force multiple shards
     chem::LigandStoreWriter w(dir.string(), opts);
-    for (int i = 0; i < 20; ++i)
-      w.append("LIG-" + std::to_string(i), "C" + std::string(i % 5 + 1, 'C'));
+    for (std::size_t i = 0; i < 20; ++i) w.append(lig_id(i), lig_smiles(i));
     w.finish();
     EXPECT_EQ(w.stats().records, 20u);
   }
@@ -77,8 +94,8 @@ TEST(LigandStore, WriterReaderRoundTrip) {
   EXPECT_EQ(store.stats().shards_ok, 3u);  // 7 + 7 + 6
   EXPECT_EQ(store.stats().shards_skipped, 0u);
   for (std::size_t i = 0; i < 20; ++i) {
-    EXPECT_EQ(store.id(i), "LIG-" + std::to_string(i));
-    EXPECT_EQ(store.smiles(i), "C" + std::string(i % 5 + 1, 'C'));
+    EXPECT_EQ(store.id(i), lig_id(i));
+    EXPECT_EQ(store.smiles(i), lig_smiles(i));
   }
   // (shard, offset) addressing round-trips through locate/index_of.
   for (std::size_t i = 0; i < 20; ++i)
@@ -298,14 +315,15 @@ TEST(LibraryBackend, ScienceFingerprintIdenticalAcrossBackends) {
   const auto dir = tmp_dir("imp_backend_fp_store");
   std::filesystem::remove_all(dir);
 
-  auto in_mem_cfg = slim_config();
-  auto mmap_cfg = slim_config();
-  mmap_cfg.library_backend = core::ExecConfig::LibraryBackend::kMmapStore;
-  mmap_cfg.library_store_dir = dir.string();
+  auto mmap_exec = slim_exec();
+  mmap_exec.library_backend = core::ExecConfig::LibraryBackend::kMmapStore;
+  mmap_exec.library_store_dir = dir.string();
 
-  core::Campaign a(core::Target::make("3CL-like", 42, 40, 21), in_mem_cfg);
+  core::Campaign a(core::Target::make("3CL-like", 42, 40, 21), slim_science(),
+                   slim_exec());
   const auto report_a = a.run();
-  core::Campaign b(core::Target::make("3CL-like", 42, 40, 21), mmap_cfg);
+  core::Campaign b(core::Target::make("3CL-like", 42, 40, 21), slim_science(),
+                   mmap_exec);
   const auto report_b = b.run();
 
   // The tentpole guarantee: the out-of-core path is a pure execution
@@ -318,13 +336,13 @@ TEST(LibraryBackend, EnrichmentDenominatorIsLibrarySizeEveryIteration) {
   // Regression for the fg_esmacs fallback that substituted `docked` for an
   // unstamped library_screened: the denominator of effective ligands per
   // second is the full library on every iteration, warm-up included.
-  auto cfg = slim_config();
-  cfg.iterations = 2;
-  core::Campaign c(core::Target::make("Den", 9, 30, 15), cfg);
+  auto sci = slim_science();
+  sci.iterations = 2;
+  core::Campaign c(core::Target::make("Den", 9, 30, 15), sci, slim_exec());
   const auto report = c.run();
   ASSERT_EQ(report.iterations.size(), 2u);
   for (const auto& it : report.iterations) {
-    EXPECT_EQ(it.library_screened, cfg.library_size);
+    EXPECT_EQ(it.library_screened, sci.library_size);
     EXPECT_GT(it.docked, 0u);
     EXPECT_LT(it.docked, it.library_screened);
   }
@@ -336,12 +354,13 @@ TEST(LibraryBackend, CheckpointResumeThroughMmapStore) {
   std::filesystem::remove_all(dir);
   std::filesystem::remove(ckpt);
 
-  auto leg = slim_config();
-  leg.iterations = 1;
+  auto sci = slim_science();
+  sci.iterations = 1;
+  auto leg = slim_exec();
   leg.library_backend = core::ExecConfig::LibraryBackend::kMmapStore;
   leg.library_store_dir = dir.string();
 
-  core::Campaign first(core::Target::make("RSM", 5, 30, 15), leg);
+  core::Campaign first(core::Target::make("RSM", 5, 30, 15), sci, leg);
   const auto rep1 = first.run();
   core::write_checkpoint(rep1, ckpt.string());
   std::size_t docked1 = 0;
@@ -354,7 +373,7 @@ TEST(LibraryBackend, CheckpointResumeThroughMmapStore) {
   // store scan.
   auto leg2 = leg;
   leg2.resume_checkpoint = ckpt.string();
-  core::Campaign second(core::Target::make("RSM", 5, 30, 15), leg2);
+  core::Campaign second(core::Target::make("RSM", 5, 30, 15), sci, leg2);
   const auto rep2 = second.run();
   EXPECT_EQ(rep2.iterations[0].docked, 0u);
   std::size_t restored = 0;

@@ -1,9 +1,8 @@
 // Multi-target campaign engine tests: per-target science fingerprints are
 // invariant to co-scheduling (number of targets sharing the backend, ready
-// order, target policy, backend kind); the ScienceConfig/ExecConfig split
-// composes the same campaign; the RaptorBackend adapter bulks routed tasks,
-// fans results back out per member, and keeps AppManager retry semantics;
-// RaptorStats derived metrics stay finite on empty workloads.
+// order, target policy, backend kind); the RaptorBackend adapter bulks
+// routed tasks, fans results back out per member, and keeps AppManager retry
+// semantics; RaptorStats derived metrics stay finite on empty workloads.
 
 #include <gtest/gtest.h>
 
@@ -119,7 +118,6 @@ TEST(MultiCampaign, FingerprintInvariantToPolicyOrderAndCohort) {
 
   core::MultiCampaignOptions fifo;
   fifo.ready_order = rct::AppManagerOptions::ReadyOrder::kFifo;
-  fifo.critical_path_priority = false;
   core::MultiCampaign two(small_exec(), fifo);
   two.add_target(target_a(), sci);
   two.add_target(target_b(), small_science(4040));
@@ -160,28 +158,6 @@ TEST(MultiCampaign, LocalBackendMatchesSimBackend) {
               local_out.reports[i].science_fingerprint());
 }
 
-TEST(MultiCampaign, ConfigSplitComposesTheSameCampaign) {
-  // A flat CampaignConfig and its (science, exec) slices recomposed through
-  // the new constructor drive identical campaigns.
-  core::CampaignConfig flat;
-  static_cast<core::ScienceConfig&>(flat) = small_science(2020);
-  static_cast<core::ExecConfig&>(flat) = small_exec();
-
-  rct::SimBackend sim1(hpc::test_machine(4));
-  core::Campaign by_flat(target_a(), flat);
-  const std::string flat_fp = by_flat.run(sim1).science_fingerprint();
-
-  rct::SimBackend sim2(hpc::test_machine(4));
-  core::Campaign by_slices(target_a(), flat.science(), flat.exec());
-  EXPECT_EQ(by_slices.run(sim2).science_fingerprint(), flat_fp);
-
-  // The aggregate exposes both views over the same storage.
-  core::CampaignConfig recomposed(small_science(7), small_exec());
-  EXPECT_EQ(recomposed.library_seed, 7u);
-  EXPECT_EQ(recomposed.science().library_seed, 7u);
-  EXPECT_EQ(recomposed.exec().seed, 17u);
-}
-
 TEST(MultiCampaign, VirtualTargetsRunThroughOneGraph) {
   // Heterogeneous ScaleModel targets co-scheduled on the DES machine; the
   // priority schedule must not be slower than FIFO on the same workload.
@@ -205,12 +181,11 @@ TEST(MultiCampaign, VirtualTargetsRunThroughOneGraph) {
     return m;
   };
 
-  auto run_mode = [&](rct::AppManagerOptions::ReadyOrder order, bool cp) {
+  auto run_mode = [&](rct::AppManagerOptions::ReadyOrder order) {
     core::ExecConfig exec = small_exec();
     exec.pipeline_iterations = true;
     core::MultiCampaignOptions opts;
     opts.ready_order = order;
-    opts.critical_path_priority = cp;
     core::MultiCampaign multi(exec, opts);
     multi.add_virtual_target("heavy-cg", 2, make(900.0, 2000));
     multi.add_virtual_target("dock-bound", 2, make(300.0, 8000));
@@ -218,8 +193,8 @@ TEST(MultiCampaign, VirtualTargetsRunThroughOneGraph) {
     return multi.run(sim);
   };
 
-  const auto fifo = run_mode(rct::AppManagerOptions::ReadyOrder::kFifo, false);
-  const auto prio = run_mode(rct::AppManagerOptions::ReadyOrder::kPriority, true);
+  const auto fifo = run_mode(rct::AppManagerOptions::ReadyOrder::kFifo);
+  const auto prio = run_mode(rct::AppManagerOptions::ReadyOrder::kPriority);
   EXPECT_EQ(fifo.graph.failed(), 0u);
   EXPECT_EQ(prio.graph.failed(), 0u);
   EXPECT_EQ(fifo.graph.completed(), prio.graph.completed());

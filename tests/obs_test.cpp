@@ -464,8 +464,10 @@ TEST(ObsRecorder, ConcurrentRecordingIsComplete) {
     threads.emplace_back([&rec, t] {
       auto& counter = rec.metrics().counter("spans");
       auto& hist = rec.metrics().histogram("latency");
+      std::string name = "w";
+      name += std::to_string(t);
       for (int i = 0; i < kSpansEach; ++i) {
-        obs::Span span(obs::cat::kPool, "w" + std::to_string(t), &rec);
+        obs::Span span(obs::cat::kPool, name, &rec);
         counter.add(1);
         hist.observe(1e-3 * (i + 1));
       }
@@ -674,30 +676,31 @@ TEST(ObsExport, StatsToJsonParses) {
 // ------------------------------------------------- end-to-end acceptance
 
 TEST(ObsCampaign, TracedCampaignCoversEveryLayer) {
-  core::CampaignConfig cfg;
-  cfg.library_size = 30;
-  cfg.iterations = 2;
-  cfg.bootstrap_docks = 10;  // >= 8 docked, so iteration 1 trains ML1
-  cfg.dock_top_fraction = 0.3;
-  cfg.cg_compounds = 2;
-  cfg.top_binders = 1;
-  cfg.outliers_per_binder = 1;
-  cfg.dock.runs = 1;
-  cfg.dock.lga.population = 12;
-  cfg.dock.lga.generations = 4;
-  cfg.esmacs_cg = fe::cg_config(0.2);
-  cfg.esmacs_cg.replicas = 2;
-  cfg.esmacs_fg = fe::fg_config(0.05);
-  cfg.esmacs_fg.replicas = 2;
-  cfg.surrogate.epochs = 2;
-  cfg.aae.epochs = 2;
-  cfg.threads = 2;
-  cfg.seed = 99;
+  core::ScienceConfig sci;
+  sci.library_size = 30;
+  sci.iterations = 2;
+  sci.bootstrap_docks = 10;  // >= 8 docked, so iteration 1 trains ML1
+  sci.dock_top_fraction = 0.3;
+  sci.cg_compounds = 2;
+  sci.top_binders = 1;
+  sci.outliers_per_binder = 1;
+  sci.dock.runs = 1;
+  sci.dock.lga.population = 12;
+  sci.dock.lga.generations = 4;
+  sci.esmacs_cg = fe::cg_config(0.2);
+  sci.esmacs_cg.replicas = 2;
+  sci.esmacs_fg = fe::fg_config(0.05);
+  sci.esmacs_fg.replicas = 2;
+  sci.surrogate.epochs = 2;
+  sci.aae.epochs = 2;
+  core::ExecConfig exec;
+  exec.threads = 2;
+  exec.seed = 99;
 
   obs::Recorder recorder;
-  cfg.recorder = &recorder;
+  exec.recorder = &recorder;
   core::Target target = core::Target::make("obs-target", 31, 40, 21);
-  core::Campaign campaign(std::move(target), cfg);
+  core::Campaign campaign(std::move(target), sci, exec);
   const auto report = campaign.run();
   ASSERT_EQ(report.iterations.size(), 2u);
 
