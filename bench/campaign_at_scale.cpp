@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 
@@ -30,7 +29,7 @@
 #include "impeccable/rct/backend.hpp"
 #include "impeccable/rct/entk.hpp"
 #include "impeccable/rct/profiler.hpp"
-#include "impeccable/rct/raptor_backend.hpp"
+#include "impeccable/rct/raptor.hpp"
 #include "paper_protocol.hpp"
 
 namespace core = impeccable::core;
@@ -88,10 +87,10 @@ MultiRun run_multi_target(int nodes, int iterations,
                           const std::vector<stages::ScaleModel>& targets,
                           bool priority) {
   rct::SimBackend sim(hpc::summit(nodes));
-  rct::RaptorBackendOptions ropts;
-  ropts.overlay.masters = 4;
-  ropts.overlay.workers = nodes * 6;  // one overlay worker per GPU
-  ropts.overlay.bulk_size = 8;
+  rct::RaptorOptions ropts;
+  ropts.masters = 4;
+  ropts.workers = nodes * 6;  // one overlay worker per GPU
+  ropts.bulk_size = 8;
   rct::RaptorBackend raptor(sim, ropts);
 
   core::ExecConfig exec;
@@ -116,18 +115,6 @@ MultiRun run_multi_target(int nodes, int iterations,
   r.tasks = out.graph.completed();
   r.retries = out.graph.retries;
   r.raptor = raptor.stats();
-  if (std::getenv("IMPECCABLE_BENCH_DEBUG")) {
-    auto rows = out.graph.nodes;
-    std::sort(rows.begin(), rows.end(),
-              [](const rct::NodeReport& a, const rct::NodeReport& b) {
-                return a.begin < b.begin;
-              });
-    std::fprintf(stderr, "--- %s ---\n", priority ? "priority" : "fifo");
-    for (const auto& n : rows)
-      std::fprintf(stderr, "%-14s %-12s prio=%10.0f ready=%8.0f begin=%8.0f end=%8.0f wait=%7.0f\n",
-                   n.pipeline.c_str(), n.name.c_str(), n.priority, n.ready,
-                   n.begin, n.end, n.ready_wait());
-  }
   return r;
 }
 

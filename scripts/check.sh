@@ -20,9 +20,11 @@
 #      in common/lockdep.hpp is enforced on every acquisition the suite
 #      drives — plus the audit label again under that configuration;
 #   5. tsan preset: the concurrency-sensitive subsets (obs + graph + serve
-#      + multi labels — serve covers the inference server's worker/submitter
-#      paths and the concurrent SurrogateModel::predict_batch contract;
-#      multi covers shared-backend multi-target campaign runs);
+#      + multi + raptor labels — serve covers the inference server's
+#      worker/submitter paths and the concurrent
+#      SurrogateModel::predict_batch contract; multi covers shared-backend
+#      multi-target campaign runs; raptor covers the overlay's bulking and
+#      fan-out on LocalBackend pool threads);
 #   6. native preset (-march=native Release): the `dock`-labelled suite —
 #      the batched SIMD scorer's bitwise-equivalence gate must hold under
 #      the widest vectorization the host supports, not just the portable
@@ -116,6 +118,9 @@ ctest --preset tsan-serve -j "$JOBS"
 
 echo "== tsan: multi-labeled tests (shared-backend multi-target campaigns) =="
 ctest --preset tsan-multi -j "$JOBS"
+
+echo "== tsan: raptor-labeled tests (overlay over LocalBackend threads) =="
+ctest --preset tsan-raptor -j "$JOBS"
 
 echo "== configure + build (native preset: -march=native Release) =="
 cmake --preset native -DIMPECCABLE_WERROR=ON

@@ -1,6 +1,7 @@
 #include "impeccable/hpc/cluster.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace impeccable::hpc {
@@ -8,8 +9,19 @@ namespace impeccable::hpc {
 ClusterSim::ClusterSim(Simulator& sim, const MachineSpec& machine)
     : sim_(sim), machine_(machine),
       nodes_(static_cast<std::size_t>(machine.nodes),
-             Node{machine.cores_per_node, machine.gpus_per_node}) {
+             Node{machine.cores_per_node, machine.gpus_per_node}),
+      open_((nodes_.size() + 63) / 64, 0) {
+  for (std::size_t i = 0; i < nodes_.size(); ++i) mark(i);
   record();
+}
+
+void ClusterSim::mark(std::size_t node) {
+  const Node& n = nodes_[node];
+  const std::uint64_t bit = std::uint64_t{1} << (node % 64);
+  if (n.free_cpus > 0 || n.free_gpus > 0)
+    open_[node / 64] |= bit;
+  else
+    open_[node / 64] &= ~bit;
 }
 
 bool ClusterSim::try_place(const SlotRequest& req, Placement& out,
@@ -18,8 +30,6 @@ bool ClusterSim::try_place(const SlotRequest& req, Placement& out,
     return forbidden && (*forbidden)[static_cast<std::size_t>(i)];
   };
   if (req.whole_nodes > 0) {
-    if (req.whole_nodes > machine_.nodes)
-      throw std::invalid_argument("ClusterSim: request larger than machine");
     // Find a run of fully free nodes (first fit).
     int run = 0;
     for (int i = 0; i < machine_.nodes; ++i) {
@@ -36,6 +46,7 @@ bool ClusterSim::try_place(const SlotRequest& req, Placement& out,
         for (int k = out.first_node; k <= i; ++k) {
           nodes_[static_cast<std::size_t>(k)].free_cpus = 0;
           nodes_[static_cast<std::size_t>(k)].free_gpus = 0;
+          mark(static_cast<std::size_t>(k));
         }
         busy_cpus_ += out.cpus;
         busy_gpus_ += out.gpus;
@@ -45,13 +56,17 @@ bool ClusterSim::try_place(const SlotRequest& req, Placement& out,
     return false;
   }
 
-  if (req.cpus > machine_.cores_per_node || req.gpus > machine_.gpus_per_node)
-    throw std::invalid_argument("ClusterSim: single-node request too large");
-  for (int i = 0; i < machine_.nodes; ++i) {
-    Node& n = nodes_[static_cast<std::size_t>(i)];
-    if (!blocked(i) && n.free_cpus >= req.cpus && n.free_gpus >= req.gpus) {
+  // First fit over the nodes with a free slot: submit guarantees the request
+  // needs a CPU or a GPU, so a node with neither cannot take it.
+  for (std::size_t w = 0; w < open_.size(); ++w) {
+    for (std::uint64_t bits = open_[w]; bits != 0; bits &= bits - 1) {
+      const int i = static_cast<int>(w * 64) + std::countr_zero(bits);
+      Node& n = nodes_[static_cast<std::size_t>(i)];
+      if (blocked(i) || n.free_cpus < req.cpus || n.free_gpus < req.gpus)
+        continue;
       n.free_cpus -= req.cpus;
       n.free_gpus -= req.gpus;
+      mark(static_cast<std::size_t>(i));
       out.first_node = i;
       out.node_count = 1;
       out.cpus = req.cpus;
@@ -65,6 +80,17 @@ bool ClusterSim::try_place(const SlotRequest& req, Placement& out,
 }
 
 void ClusterSim::submit(const SlotRequest& req, StartCallback on_start) {
+  // Reject up front what can never be placed. Every placeable request takes
+  // a slot, which lets drain_queue stop scanning on a saturated machine.
+  if (req.whole_nodes > 0) {
+    if (req.whole_nodes > machine_.nodes)
+      throw std::invalid_argument("ClusterSim: request larger than machine");
+  } else {
+    if (req.cpus > machine_.cores_per_node || req.gpus > machine_.gpus_per_node)
+      throw std::invalid_argument("ClusterSim: single-node request too large");
+    if (req.cpus <= 0 && req.gpus <= 0)
+      throw std::invalid_argument("ClusterSim: request for no CPU and no GPU");
+  }
   // Keep the pending queue sorted by priority (descending); a new request
   // goes after every queued request of equal or higher priority, so equal
   // priorities preserve arrival order and all-zero priorities are pure FIFO.
@@ -82,11 +108,13 @@ void ClusterSim::release(const SlotRequest& req, const Placement& where) {
     for (int k = where.first_node; k < where.first_node + where.node_count; ++k) {
       nodes_[static_cast<std::size_t>(k)].free_cpus = machine_.cores_per_node;
       nodes_[static_cast<std::size_t>(k)].free_gpus = machine_.gpus_per_node;
+      mark(static_cast<std::size_t>(k));
     }
   } else {
     Node& n = nodes_[static_cast<std::size_t>(where.first_node)];
     n.free_cpus += req.cpus;
     n.free_gpus += req.gpus;
+    mark(static_cast<std::size_t>(where.first_node));
   }
   busy_cpus_ -= where.cpus;
   busy_gpus_ -= where.gpus;
@@ -142,6 +170,9 @@ void ClusterSim::drain_queue() {
   bool any_blocked = false;
   double blocked_priority = 0.0;
   for (auto it = queue_.begin(); it != queue_.end();) {
+    // Every CPU and GPU busy: no queued request can be placed (a whole-node
+    // request needs a fully free node, submit rejects slot-less requests).
+    if (saturated()) break;
     const bool restricted =
         any_blocked && it->req.priority < blocked_priority && !reserved.empty();
     Placement where;
@@ -167,6 +198,11 @@ void ClusterSim::drain_queue() {
     }
   }
   if (placed_any) record();
+}
+
+bool ClusterSim::saturated() const {
+  return busy_cpus_ + busy_gpus_ > 0 && busy_cpus_ == machine_.total_cores() &&
+         busy_gpus_ == machine_.total_gpus();
 }
 
 void ClusterSim::record() {

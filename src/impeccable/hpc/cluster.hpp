@@ -2,6 +2,7 @@
 // Discrete-event cluster: nodes with CPU/GPU slots, FIFO-backfill placement,
 // and a utilization recorder (the Fig. 7 time series).
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <string>
@@ -58,6 +59,8 @@ class ClusterSim {
 
   using StartCallback = std::function<void(const Placement&)>;
 
+  /// Throws std::invalid_argument for a request that can never fit, or a
+  /// single-node request for neither a CPU nor a GPU.
   void submit(const SlotRequest& req, StartCallback on_start);
   void release(const SlotRequest& req, const Placement& where);
 
@@ -93,11 +96,16 @@ class ClusterSim {
   /// busy slots) for a blocked whole-node request.
   void reserve_draining_nodes(int count, std::vector<char>& reserved) const;
   void drain_queue();
+  /// Refresh node `node`'s bit in open_.
+  void mark(std::size_t node);
+  /// No CPU or GPU free anywhere (and the machine has some).
+  bool saturated() const;
   void record();
 
   Simulator& sim_;
   MachineSpec machine_;
   std::vector<Node> nodes_;
+  std::vector<std::uint64_t> open_;  ///< bit i: node i has a free CPU or GPU
   std::deque<Pending> queue_;
   int busy_gpus_ = 0;
   int busy_cpus_ = 0;

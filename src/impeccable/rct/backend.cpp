@@ -71,8 +71,12 @@ void SimBackend::submit(TaskDescription task, CompletionCallback on_complete) {
         run->result.error = e.what();
       }
     }
-    running_.push_back(run);
-    ensure_walltime_event();
+    // Only a walltime boundary needs the running set; without one, keeping
+    // it would cost an O(running) erase per completion.
+    if (opts_.pilot_walltime > 0.0) {
+      running_.push_back(run);
+      ensure_walltime_event();
+    }
 
     const double runtime = opts_.task_overhead + shared->duration;
     sim_.schedule_in(runtime, [this, run] {
@@ -80,7 +84,7 @@ void SimBackend::submit(TaskDescription task, CompletionCallback on_complete) {
       run->finished = true;
       run->result.end_time = sim_.now();
       cluster_.release(run->request, run->placement);
-      std::erase(running_, run);
+      if (opts_.pilot_walltime > 0.0) std::erase(running_, run);
       record_task(run->result, run->submit_time, run->request.cpus,
                   run->request.gpus, run->request.whole_nodes);
       (*run->callback)(run->result);

@@ -109,7 +109,7 @@ class SimBackend : public ExecutionBackend {
   hpc::Simulator sim_;
   hpc::ClusterSim cluster_;
   SimBackendOptions opts_;
-  std::vector<std::shared_ptr<Running>> running_;
+  std::vector<std::shared_ptr<Running>> running_;  ///< walltime runs only
   double next_walltime_ = 0.0;
   bool walltime_scheduled_ = false;
   int pilot_generation_ = 1;

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <ostream>
 #include <stdexcept>
 
-#include <ostream>
-
-#include "impeccable/common/rng.hpp"
+#include "impeccable/hpc/machine.hpp"
 #include "impeccable/obs/json.hpp"
 
 namespace impeccable::rct {
@@ -42,172 +40,254 @@ void RaptorStats::finalize_derived() {
   load_imbalance = mean_busy > 0 ? max_busy / mean_busy : 0.0;
 }
 
-namespace {
+// ------------------------------------------------------------- RaptorBackend
 
-/// One master with its shard of workers and requests.
-struct Master {
-  std::vector<double> requests;   ///< durations, consumed from `next`
-  std::size_t next = 0;
-  double busy_until = 0.0;        ///< master service availability
-  std::vector<int> workers;       ///< worker ids this master serves
-};
+RaptorBackend::RaptorBackend(ExecutionBackend& inner, const RaptorOptions& opts)
+    : inner_(inner), opts_(opts), failure_rng_(opts.failure_seed) {
+  if (opts_.masters < 1 || opts_.workers < 1)
+    throw std::invalid_argument("RaptorBackend: need at least one master/worker");
+  if (opts_.workers < opts_.masters)
+    throw std::invalid_argument("RaptorBackend: fewer workers than masters");
+  if (opts_.bulk_size < 1)
+    throw std::invalid_argument("RaptorBackend: bulk_size must be >= 1");
+  master_busy_until_.assign(static_cast<std::size_t>(opts_.masters), 0.0);
+  lane_busy_.assign(static_cast<std::size_t>(opts_.workers), 0.0);
+  for (int lane = 0; lane < opts_.workers; ++lane) lane_free_at_.push({0.0, lane});
+  recorder_ = inner_.recorder();
+}
 
-struct Worker {
-  double busy = 0.0;        ///< accumulated busy seconds
-  double busy_until = 0.0;  ///< serializes bulk execution on this worker
-  int in_flight_bulks = 0;
-  bool alive = true;
-};
+void RaptorBackend::submit(TaskDescription task, CompletionCallback on_complete) {
+  if (!task.name.starts_with("dock")) {
+    inner_.submit(std::move(task), std::move(on_complete));
+    return;
+  }
+  bool need_flush = false;
+  {
+    std::lock_guard lock(mu_);
+    Request req;
+    req.task = std::move(task);
+    req.done = std::move(on_complete);
+    buffer_.push_back(std::move(req));
+    need_flush = !flush_scheduled_;
+    flush_scheduled_ = true;
+  }
+  // One zero-delay flush event coalesces every same-instant submission
+  // (a whole S1 wave, possibly across targets) into consecutive bulks.
+  if (need_flush) inner_.after(0.0, [this] { flush(); });
+}
 
-struct Overlay {
-  hpc::Simulator sim;
-  RaptorOptions opts;
-  common::Rng failure_rng{0};
-  std::vector<Master> masters;
-  std::vector<Worker> workers;
-  double last_completion = 0.0;
-  std::size_t completed = 0;
-  int workers_failed = 0;
-  std::size_t bulks_requeued = 0;
-
-  /// A live worker of master `m` other than `except` (or -1).
-  int pick_live_worker(int master_id, int except) {
-    const Master& m = masters[static_cast<std::size_t>(master_id)];
-    int best = -1;
-    for (int w : m.workers) {
-      if (w == except || !workers[static_cast<std::size_t>(w)].alive) continue;
-      if (best == -1 || workers[static_cast<std::size_t>(w)].busy_until <
-                            workers[static_cast<std::size_t>(best)].busy_until)
-        best = w;  // least-loaded live worker
+void RaptorBackend::flush() {
+  std::vector<std::shared_ptr<Bulk>> formed;
+  {
+    std::lock_guard lock(mu_);
+    flush_scheduled_ = false;
+    const std::size_t size = static_cast<std::size_t>(opts_.bulk_size);
+    for (std::size_t at = 0; at < buffer_.size(); at += size) {
+      auto bulk = std::make_shared<Bulk>();
+      bulk->id = bulk_counter_++;
+      const std::size_t end = std::min(buffer_.size(), at + size);
+      for (std::size_t i = at; i < end; ++i) {
+        bulk->work += buffer_[i].task.duration;
+        bulk->priority = std::max(bulk->priority, buffer_[i].task.priority);
+        bulk->members.push_back(std::move(buffer_[i]));
+      }
+      formed.push_back(std::move(bulk));
     }
-    return best;
+    buffer_.clear();
   }
+  for (auto& bulk : formed) launch(std::move(bulk));
+}
 
-  void dispatch(int master_id, int worker_id) {
-    Master& m = masters[static_cast<std::size_t>(master_id)];
-    if (m.next >= m.requests.size()) return;
-    if (!workers[static_cast<std::size_t>(worker_id)].alive) return;
+void RaptorBackend::launch(std::shared_ptr<Bulk> bulk) {
+  {
+    std::lock_guard lock(mu_);
+    if (in_flight_ >= opts_.workers * kRaptorPrefetch) {
+      held_.push_back(std::move(bulk));
+      return;
+    }
+    ++in_flight_;
+  }
+  dispatch(std::move(bulk));
+}
 
-    const std::size_t count =
-        std::min<std::size_t>(opts.bulk_size, m.requests.size() - m.next);
-    std::vector<double> bulk(m.requests.begin() + static_cast<long>(m.next),
-                             m.requests.begin() + static_cast<long>(m.next + count));
-    m.next += count;
+void RaptorBackend::dispatch(std::shared_ptr<Bulk> bulk) {
+  double delay = 0.0;
+  {
+    std::lock_guard lock(mu_);
+    const double service =
+        opts_.bulk_overhead +
+        kRaptorPerRequestOverhead * static_cast<double>(bulk->members.size());
+    const std::size_t m = static_cast<std::size_t>(
+        bulk->id % static_cast<std::uint64_t>(opts_.masters));
+    const double now_s = inner_.now();
+    // The master serializes its dispatches: service starts when it frees up.
+    const double done_at = std::max(master_busy_until_[m], now_s) + service;
+    master_busy_until_[m] = done_at;
+    delay = done_at - now_s;
+    // Least-loaded lane: the one whose modeled work runs out soonest.
+    auto [free_at, lane] = lane_free_at_.top();
+    lane_free_at_.pop();
+    lane_free_at_.push({std::max(free_at, done_at) + bulk->work, lane});
+    bulk->lane = lane;
+    bulk->dispatched = done_at;
+    if (first_dispatch_ < 0.0) first_dispatch_ = done_at;
+  }
+  inner_.after(delay, [this, bulk = std::move(bulk)] { submit_bulk(bulk); });
+}
 
-    double bulk_work = 0.0;
-    for (double d : bulk) bulk_work += d;
-
-    // Master serializes dispatches: service starts when the master frees up.
-    const double service = opts.bulk_overhead +
-                           opts.per_request_overhead * static_cast<double>(count);
-    m.busy_until = std::max(m.busy_until, sim.now()) + service;
-    const double arrive = m.busy_until;
-
-    ++workers[static_cast<std::size_t>(worker_id)].in_flight_bulks;
-
-    sim.schedule_at(arrive, [this, master_id, worker_id, bulk_work,
-                             bulk = std::move(bulk)]() mutable {
-      Worker& wk = workers[static_cast<std::size_t>(worker_id)];
-      if (!wk.alive) {
-        // Arrived at a dead worker: requeue immediately.
-        --wk.in_flight_bulks;
-        requeue(master_id, worker_id, bulk);
-        return;
+void RaptorBackend::submit_bulk(const std::shared_ptr<Bulk>& bulk) {
+  TaskDescription task;
+  task.name = "raptor-bulk-" + std::to_string(bulk->id);
+  task.cpus = 1;  // one overlay worker = one GPU-holding executor
+  task.gpus = 1;
+  task.duration = bulk->work;
+  task.priority = bulk->priority;
+  task.payload = [bulk] {
+    // The worker executes the bulk's requests back to back; one member
+    // throwing fails that member only, not the bulk.
+    for (Request& r : bulk->members) {
+      r.ok = true;
+      r.error.clear();
+      if (!r.task.payload) continue;
+      try {
+        r.task.payload();
+      } catch (const std::exception& e) {
+        r.ok = false;
+        r.error = e.what();
       }
-      // The worker executes the bulk's requests back to back, after any
-      // bulk already running on it.
-      const double begin = std::max(sim.now(), wk.busy_until);
-      // Failure model: the worker may die during this bulk.
-      const bool dies = opts.worker_failure_rate > 0.0 &&
-                        failure_rng.bernoulli(opts.worker_failure_rate);
+    }
+  };
+  inner_.submit(std::move(task), [this, bulk](const TaskResult& result) {
+    on_bulk_done(bulk, result);
+  });
+}
+
+void RaptorBackend::on_bulk_done(std::shared_ptr<Bulk> bulk,
+                                 const TaskResult& result) {
+  if (result.ok && opts_.worker_failure_rate > 0.0) {
+    bool dies = false;
+    {
+      std::lock_guard lock(mu_);
+      dies = failure_rng_.bernoulli(opts_.worker_failure_rate);
       if (dies) {
-        // Dies halfway through: the whole bulk must be re-executed elsewhere
-        // (docking results of a dead executor are lost).
-        const double died_at = begin + 0.5 * bulk_work;
-        wk.busy_until = died_at;
-        wk.busy += 0.5 * bulk_work;
-        sim.schedule_at(died_at, [this, master_id, worker_id,
-                                  bulk = std::move(bulk)]() mutable {
-          Worker& w2 = workers[static_cast<std::size_t>(worker_id)];
-          if (w2.alive) {
-            w2.alive = false;
-            ++workers_failed;
-          }
-          --w2.in_flight_bulks;
-          requeue(master_id, worker_id, bulk);
-        });
-        return;
+        // The modeled worker died halfway through: charge the lost half and
+        // re-execute the whole bulk (results of a dead executor are lost).
+        ++workers_failed_;
+        ++bulks_requeued_;
+        lane_busy_[static_cast<std::size_t>(bulk->lane)] += 0.5 * bulk->work;
       }
-      const double end = begin + bulk_work;
-      wk.busy_until = end;
-      wk.busy += bulk_work;
-      const std::size_t count = bulk.size();
-      sim.schedule_at(end, [this, master_id, worker_id, count] {
-        Worker& wk2 = workers[static_cast<std::size_t>(worker_id)];
-        --wk2.in_flight_bulks;
-        last_completion = sim.now();
-        completed += count;
-        // Refill: keep `prefetch` bulks in flight per worker.
-        while (wk2.alive && wk2.in_flight_bulks < opts.prefetch &&
-               masters[static_cast<std::size_t>(master_id)].next <
-                   masters[static_cast<std::size_t>(master_id)].requests.size()) {
-          dispatch(master_id, worker_id);
-        }
-      });
-    });
+    }
+    if (dies) {
+      if (obs::Recorder* rec = recorder())
+        rec->metrics().counter("raptor.requeued").add(1);
+      dispatch(std::move(bulk));  // keeps its prefetch-window slot
+      return;
+    }
   }
 
-  /// Put a lost bulk back into the master's queue and kick a live worker.
-  void requeue(int master_id, int dead_worker, const std::vector<double>& bulk) {
-    Master& m = masters[static_cast<std::size_t>(master_id)];
-    ++bulks_requeued;
-    m.requests.insert(m.requests.end(), bulk.begin(), bulk.end());
-    const int target = pick_live_worker(master_id, dead_worker);
-    if (target >= 0) dispatch(master_id, target);
-    // If no live worker remains under this master, its residual requests
-    // stall — mirroring a real pilot losing all its executors.
+  std::shared_ptr<Bulk> next;
+  {
+    std::lock_guard lock(mu_);
+    if (result.ok) {
+      lane_busy_[static_cast<std::size_t>(bulk->lane)] += bulk->work;
+      for (const Request& r : bulk->members) requests_done_ += r.ok ? 1 : 0;
+    }
+    last_completion_ = std::max(last_completion_, result.end_time);
+    --in_flight_;
+    if (!held_.empty()) {
+      next = std::move(held_.front());
+      held_.pop_front();
+      ++in_flight_;
+    }
   }
-};
 
-}  // namespace
+  if (obs::Recorder* rec = recorder()) {
+    obs::SpanRecord span;
+    span.category = obs::cat::kRaptor;
+    span.name = "raptor-bulk";
+    span.start = bulk->dispatched;
+    span.end = result.end_time;
+    span.arg("requests", static_cast<double>(bulk->members.size()));
+    span.arg("work", bulk->work);
+    span.arg("lane", static_cast<double>(bulk->lane));
+    span.arg("priority", bulk->priority);
+    rec->emit(std::move(span));
+    rec->metrics().counter("raptor.bulks").add(1);
+    rec->metrics().counter("raptor.requests").add(bulk->members.size());
+  }
+
+  // Fan the aggregate result back out: AppManager sees per-member results
+  // and its retry logic resubmits failures, which then re-enter bulking.
+  for (Request& r : bulk->members) {
+    TaskResult member;
+    member.name = r.task.name;
+    member.ok = result.ok && r.ok;
+    member.error = result.ok ? r.error : result.error;
+    member.start_time = result.start_time;
+    member.end_time = result.end_time;
+    r.done(member);
+  }
+
+  if (next) dispatch(std::move(next));
+}
+
+void RaptorBackend::after(double delay, std::function<void()> fn) {
+  inner_.after(delay, std::move(fn));
+}
+
+void RaptorBackend::drain() { inner_.drain(); }
+
+double RaptorBackend::now() { return inner_.now(); }
+
+common::ThreadPool* RaptorBackend::compute_pool() {
+  return inner_.compute_pool();
+}
+
+void RaptorBackend::set_recorder(obs::Recorder* rec) {
+  recorder_ = rec;
+  inner_.set_recorder(rec);
+}
+
+RaptorStats RaptorBackend::stats() const {
+  std::lock_guard lock(mu_);
+  RaptorStats s;
+  s.tasks = requests_done_;
+  s.makespan = first_dispatch_ >= 0.0 ? last_completion_ - first_dispatch_ : 0.0;
+  s.worker_busy = lane_busy_;
+  s.workers_failed = workers_failed_;
+  s.bulks_requeued = bulks_requeued_;
+  s.finalize_derived();
+  return s;
+}
+
+// ---------------------------------------------------------------- run_raptor
 
 RaptorStats run_raptor(const RaptorOptions& opts,
                        const std::vector<double>& durations) {
-  if (opts.masters < 1 || opts.workers < 1)
-    throw std::invalid_argument("run_raptor: need at least one master/worker");
-  if (opts.workers < opts.masters)
-    throw std::invalid_argument("run_raptor: fewer workers than masters");
+  hpc::MachineSpec machine;
+  machine.name = "raptor-workers";
+  machine.nodes = std::max(opts.workers, 1);  // RaptorBackend rejects < 1
+  machine.gpus_per_node = 1;
+  machine.cores_per_node = 1;
+  SimBackend sim(machine, {.task_overhead = 0.0});
+  RaptorBackend raptor(sim, opts);
 
-  Overlay ov;
-  ov.opts = opts;
-  ov.failure_rng.reseed(opts.failure_seed);
-  ov.masters.resize(static_cast<std::size_t>(opts.masters));
-  ov.workers.resize(static_cast<std::size_t>(opts.workers));
-
-  // Shard workers and requests across masters round-robin.
-  for (int w = 0; w < opts.workers; ++w)
-    ov.masters[static_cast<std::size_t>(w % opts.masters)].workers.push_back(w);
-  for (std::size_t i = 0; i < durations.size(); ++i)
-    ov.masters[i % static_cast<std::size_t>(opts.masters)].requests.push_back(
-        durations[i]);
-
-  // Initial fill: each master primes its workers with `prefetch` bulks.
-  for (int m = 0; m < opts.masters; ++m) {
-    for (int round = 0; round < opts.prefetch; ++round)
-      for (int w : ov.masters[static_cast<std::size_t>(m)].workers)
-        ov.dispatch(m, w);
-  }
-
-  ov.sim.run();
-
-  RaptorStats stats;
-  stats.tasks = ov.completed;
-  stats.makespan = ov.last_completion;
-  for (const auto& w : ov.workers) stats.worker_busy.push_back(w.busy);
-  stats.workers_failed = ov.workers_failed;
-  stats.bulks_requeued = ov.bulks_requeued;
-  stats.finalize_derived();
-  return stats;
+  // Each member completion submits the next request inside the same event,
+  // so the requests refilling a finished bulk coalesce into one new bulk.
+  std::size_t next = 0;
+  std::function<void()> feed = [&] {
+    if (next >= durations.size()) return;
+    TaskDescription task;
+    task.name = "dock";
+    task.duration = durations[next++];
+    raptor.submit(std::move(task), [&feed](const TaskResult&) { feed(); });
+  };
+  const std::size_t window = static_cast<std::size_t>(opts.workers) *
+                             kRaptorPrefetch *
+                             static_cast<std::size_t>(opts.bulk_size);
+  for (std::size_t i = 0; i < std::min(window, durations.size()); ++i) feed();
+  raptor.drain();
+  return raptor.stats();
 }
 
 std::vector<double> docking_durations(std::size_t count, double mean_seconds,

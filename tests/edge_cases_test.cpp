@@ -13,12 +13,10 @@
 #include "impeccable/hpc/des.hpp"
 #include "impeccable/md/analysis.hpp"
 #include "impeccable/md/simulation.hpp"
-#include "impeccable/rct/raptor.hpp"
 
 namespace chem = impeccable::chem;
 namespace dock = impeccable::dock;
 namespace hpc = impeccable::hpc;
-namespace rct = impeccable::rct;
 using impeccable::common::Rng;
 using impeccable::common::Vec3;
 
@@ -116,7 +114,7 @@ TEST(DockingBox, WallEnergyGrowsQuadratically) {
   EXPECT_GT(e2, 2.5 * e1);
 }
 
-// ---------------------------------------------------------------- DES / RAPTOR
+// ---------------------------------------------------------------- DES
 
 TEST(DesEdge, ProcessedCounterAndRunUntilResume) {
   hpc::Simulator sim;
@@ -129,27 +127,6 @@ TEST(DesEdge, ProcessedCounterAndRunUntilResume) {
   sim.run();
   EXPECT_EQ(hits, 5);
   EXPECT_EQ(sim.processed(), 5u);
-}
-
-TEST(RaptorEdge, SingleWorkerSingleMaster) {
-  const std::vector<double> durations(50, 0.1);
-  rct::RaptorOptions opts;
-  opts.workers = 1;
-  opts.masters = 1;
-  opts.bulk_size = 8;
-  const auto stats = rct::run_raptor(opts, durations);
-  EXPECT_EQ(stats.tasks, 50u);
-  // Serial execution: makespan >= total work.
-  EXPECT_GE(stats.makespan, 5.0 - 1e-9);
-  EXPECT_NEAR(stats.load_imbalance, 1.0, 1e-9);
-}
-
-TEST(RaptorEdge, EmptyWorkloadIsSafe) {
-  rct::RaptorOptions opts;
-  opts.workers = 4;
-  const auto stats = rct::run_raptor(opts, {});
-  EXPECT_EQ(stats.tasks, 0u);
-  EXPECT_EQ(stats.makespan, 0.0);
 }
 
 // ---------------------------------------------------------------- analysis

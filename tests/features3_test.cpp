@@ -1,5 +1,6 @@
 // Tests for the third extension wave: structure/trajectory file I/O,
-// block-average error analysis, and RAPTOR worker fault tolerance.
+// and block-average error analysis (RAPTOR worker fault tolerance lives in
+// raptor_test.cpp).
 
 #include <gtest/gtest.h>
 
@@ -11,10 +12,8 @@
 #include "impeccable/md/io.hpp"
 #include "impeccable/md/simulation.hpp"
 #include "impeccable/md/system.hpp"
-#include "impeccable/rct/raptor.hpp"
 
 namespace md = impeccable::md;
-namespace rct = impeccable::rct;
 namespace stats = impeccable::common;
 using impeccable::common::Rng;
 
@@ -132,47 +131,4 @@ TEST(BlockAverage, SmallInputsAreSafe) {
   EXPECT_EQ(stats::block_average_error(one), 0.0);
   const std::vector<double> two{1.0, 2.0};
   EXPECT_GT(stats::block_average_error(two), 0.0);
-}
-
-// ------------------------------------------------------------ raptor failures
-
-TEST(RaptorFailures, AllTasksCompleteDespiteWorkerDeaths) {
-  const auto durations = rct::docking_durations(4000, 0.2, 8);
-  rct::RaptorOptions opts;
-  opts.workers = 16;
-  opts.bulk_size = 16;
-  opts.worker_failure_rate = 0.02;
-  const auto stats = rct::run_raptor(opts, durations);
-  EXPECT_EQ(stats.tasks, durations.size());
-  EXPECT_GT(stats.workers_failed, 0);
-  EXPECT_GE(stats.bulks_requeued,
-            static_cast<std::size_t>(stats.workers_failed));
-  EXPECT_LT(stats.workers_failed, 16);  // some workers survive
-}
-
-TEST(RaptorFailures, ThroughputDegradesGracefully) {
-  const auto durations = rct::docking_durations(4000, 0.2, 9);
-  rct::RaptorOptions healthy;
-  healthy.workers = 16;
-  healthy.bulk_size = 16;
-  rct::RaptorOptions flaky = healthy;
-  flaky.worker_failure_rate = 0.01;
-  const auto a = rct::run_raptor(healthy, durations);
-  const auto b = rct::run_raptor(flaky, durations);
-  EXPECT_EQ(a.tasks, b.tasks);
-  EXPECT_LE(b.throughput_per_hour, a.throughput_per_hour);
-  // Losing a few workers must not collapse throughput.
-  EXPECT_GT(b.throughput_per_hour, 0.3 * a.throughput_per_hour);
-}
-
-TEST(RaptorFailures, ZeroRateReproducesBaseline) {
-  const auto durations = rct::docking_durations(1000, 0.2, 10);
-  rct::RaptorOptions opts;
-  opts.workers = 8;
-  const auto a = rct::run_raptor(opts, durations);
-  opts.worker_failure_rate = 0.0;
-  const auto b = rct::run_raptor(opts, durations);
-  EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.workers_failed, 0);
-  EXPECT_EQ(a.bulks_requeued, 0u);
 }

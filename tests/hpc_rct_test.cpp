@@ -1,6 +1,6 @@
 // HPC substrate + RCT infrastructure tests: DES determinism, cluster
 // placement/queueing/utilization, flop accounting, both execution backends,
-// EnTK pipelines with adaptivity, and the RAPTOR overlay.
+// and EnTK pipelines with adaptivity (RAPTOR lives in raptor_test.cpp).
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "impeccable/hpc/machine.hpp"
 #include "impeccable/rct/backend.hpp"
 #include "impeccable/rct/entk.hpp"
-#include "impeccable/rct/raptor.hpp"
 
 namespace hpc = impeccable::hpc;
 namespace rct = impeccable::rct;
@@ -113,6 +112,21 @@ TEST(Cluster, RejectsOversizedRequests) {
                std::invalid_argument);
   EXPECT_THROW(cluster.submit({0, 0, 3}, [](const hpc::Placement&) {}),
                std::invalid_argument);
+}
+
+TEST(Cluster, RejectsZeroResourceRequests) {
+  hpc::Simulator sim;
+  hpc::ClusterSim cluster(sim, hpc::test_machine(1));
+  // A slot-less request could start on a saturated machine, where the
+  // queue scan stops early, so submit refuses it outright.
+  EXPECT_THROW(cluster.submit({0, 0, 0}, [](const hpc::Placement&) {}),
+               std::invalid_argument);
+  EXPECT_EQ(cluster.queued(), 0u);
+  // Whole-node requests carry no per-slot counts and stay valid.
+  int started = 0;
+  cluster.submit({0, 0, 1}, [&](const hpc::Placement&) { ++started; });
+  sim.run();
+  EXPECT_EQ(started, 1);
 }
 
 TEST(Cluster, UtilizationTimeSeriesTracksLoad) {
@@ -358,93 +372,4 @@ TEST(Entk, WorksOnLocalBackendWithRealPayloads) {
   mgr.run_graph(std::move(g));
   // Stage barrier: the check task observed all six stage-1 tasks done.
   EXPECT_EQ(stage2.load(), 6);
-}
-
-// ---------------------------------------------------------------- RAPTOR
-
-TEST(Raptor, CompletesAllTasks) {
-  const auto durations = rct::docking_durations(500, 0.4, 1);
-  rct::RaptorOptions opts;
-  opts.workers = 12;
-  const auto stats = rct::run_raptor(opts, durations);
-  EXPECT_EQ(stats.tasks, 500u);
-  EXPECT_GT(stats.makespan, 0.0);
-  EXPECT_GT(stats.throughput_per_hour, 0.0);
-}
-
-TEST(Raptor, UtilizationHighUnderLoad) {
-  // Many bulks per worker (the production regime: millions of docks per
-  // allocation) — demand-driven refill balances the heavy-tailed durations.
-  const auto durations = rct::docking_durations(20000, 0.1, 2);
-  rct::RaptorOptions opts;
-  opts.workers = 24;
-  const auto stats = rct::run_raptor(opts, durations);
-  EXPECT_GT(stats.worker_utilization, 0.85);
-  EXPECT_LT(stats.load_imbalance, 1.2);
-}
-
-TEST(Raptor, FewBulksPerWorkerDegradesBalance) {
-  // The converse: bulk granularity dominates when each worker only sees one
-  // or two bulks — documents why bulk size must stay small vs. tasks/worker.
-  const auto durations = rct::docking_durations(2000, 0.1, 2);
-  rct::RaptorOptions coarse;
-  coarse.workers = 24;
-  coarse.bulk_size = 64;
-  rct::RaptorOptions fine = coarse;
-  fine.bulk_size = 8;
-  const auto a = rct::run_raptor(coarse, durations);
-  const auto b = rct::run_raptor(fine, durations);
-  EXPECT_GT(b.worker_utilization, a.worker_utilization);
-}
-
-TEST(Raptor, ThroughputScalesNearLinearly) {
-  // Same per-worker load at two scales; throughput should roughly double.
-  rct::RaptorOptions small;
-  small.workers = 12;
-  small.masters = 1;
-  rct::RaptorOptions big = small;
-  big.workers = 24;
-  big.masters = 2;
-  const auto d_small = rct::docking_durations(1200, 0.4, 3);
-  const auto d_big = rct::docking_durations(2400, 0.4, 3);
-  const auto s = rct::run_raptor(small, d_small);
-  const auto b = rct::run_raptor(big, d_big);
-  const double ratio = b.throughput_per_hour / s.throughput_per_hour;
-  EXPECT_GT(ratio, 1.7);
-  EXPECT_LT(ratio, 2.3);
-}
-
-TEST(Raptor, SingleMasterSaturatesManyWorkers) {
-  // With a slow master and many workers, adding a second master must help.
-  rct::RaptorOptions one;
-  one.workers = 256;
-  one.masters = 1;
-  one.bulk_size = 4;
-  one.bulk_overhead = 5e-3;
-  rct::RaptorOptions two = one;
-  two.masters = 8;
-  const auto durations = rct::docking_durations(20000, 0.05, 4);
-  const auto a = rct::run_raptor(one, durations);
-  const auto b = rct::run_raptor(two, durations);
-  EXPECT_GT(b.throughput_per_hour, a.throughput_per_hour * 1.5);
-}
-
-TEST(Raptor, RejectsBadConfig) {
-  EXPECT_THROW(rct::run_raptor({.masters = 0}, {1.0}), std::invalid_argument);
-  rct::RaptorOptions bad;
-  bad.masters = 4;
-  bad.workers = 2;
-  EXPECT_THROW(rct::run_raptor(bad, {1.0}), std::invalid_argument);
-}
-
-TEST(Raptor, DurationsAreHeavyTailed) {
-  const auto d = rct::docking_durations(20000, 1.0, 5);
-  double mean = 0, mx = 0;
-  for (double x : d) {
-    mean += x;
-    mx = std::max(mx, x);
-  }
-  mean /= static_cast<double>(d.size());
-  EXPECT_NEAR(mean, 1.0, 0.3);
-  EXPECT_GT(mx, 4.0 * mean);  // the long tail exists
 }

@@ -1,16 +1,11 @@
 // Multi-target campaign engine tests: per-target science fingerprints are
 // invariant to co-scheduling (number of targets sharing the backend, ready
-// order, target policy, backend kind); the RaptorBackend adapter bulks
-// routed tasks, fans results back out per member, and keeps AppManager retry
-// semantics; RaptorStats derived metrics stay finite on empty workloads.
+// order, target policy, backend kind); graph run reports record per-node
+// timings (RAPTOR overlay cases live in raptor_test.cpp).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
-#include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -20,7 +15,6 @@
 #include "impeccable/hpc/machine.hpp"
 #include "impeccable/rct/backend.hpp"
 #include "impeccable/rct/entk.hpp"
-#include "impeccable/rct/raptor_backend.hpp"
 
 namespace core = impeccable::core;
 namespace fe = impeccable::fe;
@@ -206,146 +200,6 @@ TEST(MultiCampaign, VirtualTargetsRunThroughOneGraph) {
     max_priority = std::max(max_priority, n.priority);
   EXPECT_GT(max_priority, 0.0);
   for (const auto& n : fifo.graph.nodes) EXPECT_EQ(n.priority, 0.0);
-}
-
-TEST(RaptorBackend, BulksRoutedTasksAndFansOutResults) {
-  rct::SimBackend sim(hpc::test_machine(2));
-  rct::RaptorBackendOptions ropts;
-  ropts.overlay.masters = 1;
-  ropts.overlay.workers = 3;
-  ropts.overlay.bulk_size = 4;
-  rct::RaptorBackend raptor(sim, ropts);
-
-  std::vector<rct::TaskResult> results;
-  for (int i = 0; i < 10; ++i)
-    raptor.submit(dock_task("dock-" + std::to_string(i), 0.5),
-                  [&results](const rct::TaskResult& r) { results.push_back(r); });
-  // Unrouted names pass straight through.
-  bool ml_done = false;
-  raptor.submit(dock_task("ml1-train", 1.0),
-                [&ml_done](const rct::TaskResult& r) { ml_done = r.ok; });
-  raptor.drain();
-
-  ASSERT_EQ(results.size(), 10u);
-  for (const auto& r : results) {
-    EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
-    EXPECT_GT(r.end_time, 0.0);
-  }
-  EXPECT_TRUE(ml_done);
-
-  const rct::RaptorStats stats = raptor.stats();
-  EXPECT_EQ(stats.tasks, 10u);  // the ml1 task never touched the overlay
-  EXPECT_GT(stats.makespan, 0.0);
-  EXPECT_GT(stats.worker_utilization, 0.0);
-  EXPECT_LE(stats.worker_utilization, 1.0 + 1e-9);
-  ASSERT_EQ(stats.worker_busy.size(), 3u);
-}
-
-TEST(RaptorBackend, MemberFailureFailsOnlyThatMember) {
-  rct::SimBackend sim(hpc::test_machine(1));
-  rct::RaptorBackendOptions ropts;
-  ropts.overlay.bulk_size = 8;  // all three members share one bulk
-  rct::RaptorBackend raptor(sim, ropts);
-
-  std::vector<rct::TaskResult> results;
-  auto record = [&results](const rct::TaskResult& r) { results.push_back(r); };
-  auto failing = dock_task("dock-bad", 0.2);
-  failing.payload = [] { throw std::runtime_error("pose rejected"); };
-  raptor.submit(dock_task("dock-a", 0.2), record);
-  raptor.submit(std::move(failing), record);
-  raptor.submit(dock_task("dock-b", 0.2), record);
-  raptor.drain();
-
-  ASSERT_EQ(results.size(), 3u);
-  std::size_t failed = 0;
-  for (const auto& r : results) {
-    if (r.name == "dock-bad") {
-      EXPECT_FALSE(r.ok);
-      EXPECT_NE(r.error.find("pose rejected"), std::string::npos);
-      ++failed;
-    } else {
-      EXPECT_TRUE(r.ok) << r.error;
-    }
-  }
-  EXPECT_EQ(failed, 1u);
-}
-
-TEST(RaptorBackend, RetriedMembersReenterBulking) {
-  // A member that fails once is resubmitted by AppManager and must succeed
-  // through the overlay on the second attempt.
-  rct::SimBackend sim(hpc::test_machine(1));
-  rct::RaptorBackendOptions ropts;
-  ropts.overlay.bulk_size = 4;
-  rct::RaptorBackend raptor(sim, ropts);
-  rct::AppManager mgr(raptor, {.max_retries = 1});
-
-  auto flaky_calls = std::make_shared<std::atomic<int>>(0);
-  rct::StageGraph g;
-  rct::StageNode n;
-  n.name = "s1";
-  n.pipeline = "iteration-0";
-  for (int i = 0; i < 3; ++i) n.tasks.push_back(dock_task("dock-" + std::to_string(i), 0.3));
-  rct::TaskDescription flaky = dock_task("dock-flaky", 0.3);
-  flaky.payload = [flaky_calls] {
-    if (flaky_calls->fetch_add(1) == 0) throw std::runtime_error("transient");
-  };
-  n.tasks.push_back(std::move(flaky));
-  g.add(std::move(n));
-
-  const auto report = mgr.run_graph(std::move(g));
-  EXPECT_EQ(report.retries, 1u);
-  EXPECT_EQ(report.failed(), 0u);
-  EXPECT_EQ(report.completed(), 4u);
-  EXPECT_EQ(flaky_calls->load(), 2);
-  EXPECT_EQ(raptor.stats().tasks, 4u);  // retry attempt re-bulked; failed
-                                        // first attempt is not counted done
-}
-
-TEST(RaptorBackend, WorkerFailuresRequeueBulks) {
-  rct::SimBackend sim(hpc::test_machine(2));
-  rct::RaptorBackendOptions ropts;
-  ropts.overlay.workers = 4;
-  ropts.overlay.bulk_size = 2;
-  ropts.overlay.worker_failure_rate = 0.5;
-  ropts.overlay.failure_seed = 7;
-  rct::RaptorBackend raptor(sim, ropts);
-
-  std::size_t done = 0;
-  for (int i = 0; i < 16; ++i)
-    raptor.submit(dock_task("dock-" + std::to_string(i), 0.4),
-                  [&done](const rct::TaskResult& r) { done += r.ok ? 1 : 0; });
-  raptor.drain();
-
-  EXPECT_EQ(done, 16u);  // requeues lose time, never tasks
-  const auto stats = raptor.stats();
-  EXPECT_EQ(stats.tasks, 16u);
-  EXPECT_GT(stats.bulks_requeued, 0u);
-  EXPECT_GT(stats.workers_failed, 0);
-}
-
-TEST(RaptorStats, EmptyWorkloadYieldsCleanZeros) {
-  // Regression: derived metrics divided by makespan / worker mean and went
-  // NaN on empty workloads.
-  const rct::RaptorStats stats = rct::run_raptor({}, {});
-  EXPECT_EQ(stats.tasks, 0u);
-  EXPECT_EQ(stats.makespan, 0.0);
-  EXPECT_EQ(stats.throughput_per_hour, 0.0);
-  EXPECT_EQ(stats.worker_utilization, 0.0);
-  EXPECT_EQ(stats.load_imbalance, 0.0);
-  EXPECT_FALSE(std::isnan(stats.throughput_per_hour));
-
-  rct::RaptorStats zero;
-  zero.worker_busy = {0.0, 0.0};
-  zero.finalize_derived();  // all-idle overlay: mean busy is zero
-  EXPECT_EQ(zero.worker_utilization, 0.0);
-  EXPECT_EQ(zero.load_imbalance, 0.0);
-
-  rct::RaptorStats no_workers;
-  no_workers.tasks = 5;
-  no_workers.makespan = 2.0;
-  no_workers.finalize_derived();  // empty worker set
-  EXPECT_GT(no_workers.throughput_per_hour, 0.0);
-  EXPECT_EQ(no_workers.worker_utilization, 0.0);
 }
 
 TEST(GraphRunReport, RecordsNodeTimingsAndBacksDeprecatedAccessors) {
