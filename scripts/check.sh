@@ -20,11 +20,13 @@
 #      in common/lockdep.hpp is enforced on every acquisition the suite
 #      drives — plus the audit label again under that configuration;
 #   5. tsan preset: the concurrency-sensitive subsets (obs + graph + serve
-#      + multi + raptor labels — serve covers the inference server's
-#      worker/submitter paths and the concurrent
+#      + multi + raptor + library labels — serve covers the inference
+#      server's worker/submitter paths and the concurrent
 #      SurrogateModel::predict_batch contract; multi covers shared-backend
 #      multi-target campaign runs; raptor covers the overlay's bulking and
-#      fan-out on LocalBackend pool threads);
+#      fan-out on LocalBackend pool threads; library covers ligand
+#      featurization fanned out over compute pools of 1, 2 and 8 threads,
+#      nested inside pool jobs too);
 #   6. native preset (-march=native Release): the `dock`-labelled suite —
 #      the batched SIMD scorer's bitwise-equivalence gate must hold under
 #      the widest vectorization the host supports, not just the portable
@@ -121,6 +123,9 @@ ctest --preset tsan-multi -j "$JOBS"
 
 echo "== tsan: raptor-labeled tests (overlay over LocalBackend threads) =="
 ctest --preset tsan-raptor -j "$JOBS"
+
+echo "== tsan: library-labeled tests (featurization over the compute pool) =="
+ctest --preset tsan-library -j "$JOBS"
 
 echo "== configure + build (native preset: -march=native Release) =="
 cmake --preset native -DIMPECCABLE_WERROR=ON

@@ -6,8 +6,25 @@
 
 #include "impeccable/chem/protonation.hpp"
 #include "impeccable/chem/smiles.hpp"
+#include "impeccable/common/thread_pool.hpp"
 
 namespace impeccable::chem {
+
+namespace {
+
+/// Run fill(i) for i in [begin, end) over the installed compute pool, one
+/// ligand per chunk (ligands differ widely in cost), or serially when no
+/// pool is installed. fill(i) must write only slot i.
+template <typename Fill>
+void featurize_each(std::size_t begin, std::size_t end, Fill&& fill) {
+  if (common::ThreadPool* pool = common::compute_pool()) {
+    pool->parallel_for(begin, end, fill, 1);
+    return;
+  }
+  for (std::size_t i = begin; i < end; ++i) fill(i);
+}
+
+}  // namespace
 
 Molecule LigandSource::prepare(std::string_view smiles) const {
   Molecule mol = parse_smiles(smiles);
@@ -21,7 +38,8 @@ void LigandSource::images(std::size_t begin, std::size_t end,
   if (begin > end || end > size())
     throw std::out_of_range("LigandSource::images: bad window");
   out.resize(end - begin);
-  for (std::size_t i = begin; i < end; ++i) out[i - begin] = image(i);
+  featurize_each(begin, end,
+                 [&](std::size_t i) { out[i - begin] = image(i); });
 }
 
 void LigandSource::release(std::size_t, std::size_t) const {}
@@ -31,12 +49,12 @@ void LigandSource::release(std::size_t, std::size_t) const {}
 
 InMemorySource::InMemorySource(CompoundLibrary library, SourceOptions opts)
     : LigandSource(opts), library_(std::move(library)) {
-  mols_.reserve(library_.size());
-  images_.reserve(library_.size());
-  for (const auto& entry : library_.entries) {
-    mols_.push_back(prepare(entry.smiles));
-    images_.push_back(depict(mols_.back(), opts_.depiction));
-  }
+  mols_.resize(library_.size());
+  images_.resize(library_.size());
+  featurize_each(0, library_.size(), [this](std::size_t i) {
+    mols_[i] = prepare(library_.entries[i].smiles);
+    images_[i] = depict(mols_[i], opts_.depiction);
+  });
 }
 
 std::string InMemorySource::id(std::size_t i) const {

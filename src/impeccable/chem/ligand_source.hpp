@@ -16,6 +16,14 @@
 // (parse_smiles -> protonate_for_ph -> depict with the same options), so a
 // campaign's science_fingerprint() is invariant to the backend choice —
 // pinned by tests/library_store_test.cpp.
+//
+// Featurization fans out over the process compute pool
+// (common::compute_pool()): LigandSource::images and the InMemorySource
+// constructor run one parallel_for job per ligand when a pool is installed
+// and a serial loop when none is. Each ligand's molecule and image depend
+// only on that ligand and land in their own slot, so the output is bitwise
+// identical for any pool size, and a malformed entry throws the same error,
+// from the lowest failing index, as the serial loop would.
 
 #include <cstddef>
 #include <cstdint>
@@ -52,7 +60,8 @@ class LigandSource {
   /// Depiction of molecule(i) with the source's DepictionOptions.
   virtual Image image(std::size_t i) const = 0;
 
-  /// Render depictions for ligands [begin, end) into `out` (resized).
+  /// Render depictions for ligands [begin, end) into `out` (resized), one
+  /// compute-pool job per ligand when a pool is installed.
   virtual void images(std::size_t begin, std::size_t end,
                       std::vector<Image>& out) const;
 
@@ -71,7 +80,8 @@ class LigandSource {
 };
 
 /// Fully materialized source: parses and depicts every entry at
-/// construction (the historical campaign library behavior).
+/// construction (the historical campaign library behavior), over the
+/// installed compute pool when there is one.
 class InMemorySource final : public LigandSource {
  public:
   explicit InMemorySource(CompoundLibrary library, SourceOptions opts = {});

@@ -23,12 +23,20 @@ thread_local TlsSlot tls_slot;
 std::atomic<JobHookBegin> g_job_begin{nullptr};
 std::atomic<JobHookEnd> g_job_end{nullptr};
 
+std::atomic<ThreadPool*> g_compute_pool{nullptr};
+
 }  // namespace
 
 void set_pool_job_hooks(JobHookBegin begin, JobHookEnd end) {
   g_job_end.store(end, std::memory_order_release);
   g_job_begin.store(begin, std::memory_order_release);
 }
+
+ThreadPool* set_compute_pool(ThreadPool* pool) {
+  return g_compute_pool.exchange(pool);
+}
+
+ThreadPool* compute_pool() { return g_compute_pool.load(); }
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0)
@@ -213,8 +221,12 @@ void ThreadPool::drain_pfor(detail::PforState& st) {
       std::lock_guard lk(st.mu);
       if (fail_at < st.first_error_index) {
         st.first_error_index = fail_at;
-        st.first_error = err;
+        st.first_error = std::move(err);
       }
+      // Drop this thread's reference under the lock, before completion is
+      // signalled: the caller must be the exception's last owner, ordered
+      // through `mu` rather than only through the exception's refcount.
+      err = nullptr;
     }
     if (st.chunks_done.fetch_add(1) + 1 == st.chunks_total) {
       std::lock_guard lk(st.mu);
@@ -232,13 +244,17 @@ void ThreadPool::run_pfor(const std::shared_ptr<detail::PforState>& st) {
     if (!try_enqueue([st] { drain_pfor(*st); })) break;  // pool stopping
   }
   drain_pfor(*st);
+  std::exception_ptr err;
   {
     std::unique_lock lk(st->mu);
     st->cv.wait(lk, [&] {
       return st->chunks_done.load() == st->chunks_total;
     });
+    // Take the error out of the shared state: helper tickets that outlive
+    // this call still hold the state and must not release the exception.
+    err = std::move(st->first_error);
   }
-  if (st->first_error) std::rethrow_exception(st->first_error);
+  if (err) std::rethrow_exception(err);
 }
 
 }  // namespace impeccable::common

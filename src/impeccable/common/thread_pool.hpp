@@ -193,4 +193,12 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
   pool.parallel_for(begin, end, std::forward<Body>(body), grain);
 }
 
+/// Process-wide compute pool for intra-kernel parallelism: the NN layers'
+/// GEMM row panels and chem featurization (LigandSource::images, the
+/// InMemorySource build) fan out over it. Defaults to nullptr (serial). Not
+/// owned; the caller keeps the pool alive while it is installed. Returns
+/// the previous pool.
+ThreadPool* set_compute_pool(ThreadPool* pool);
+ThreadPool* compute_pool();
+
 }  // namespace impeccable::common

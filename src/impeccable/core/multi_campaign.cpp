@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "impeccable/ml/gemm.hpp"
+#include "impeccable/common/thread_pool.hpp"
 #include "impeccable/obs/pool_metrics.hpp"
 #include "impeccable/obs/recorder.hpp"
 #include "impeccable/rct/backend.hpp"
@@ -56,10 +56,14 @@ MultiCampaignReport MultiCampaign::run(rct::ExecutionBackend& backend) {
   // Every instrumented layer below (dock, ml, fe, pool) records through the
   // global recorder; restored on scope exit.
   obs::ScopedRecorder scoped(&rec);
+  // The backend's pool is the process compute pool for the run: the NN
+  // layers and chem featurization (the InMemorySource build in
+  // CampaignState::init included) fan out over it.
   struct PoolGuard {
     common::ThreadPool* prev;
-    explicit PoolGuard(common::ThreadPool* p) : prev(ml::set_compute_pool(p)) {}
-    ~PoolGuard() { ml::set_compute_pool(prev); }
+    explicit PoolGuard(common::ThreadPool* p)
+        : prev(common::set_compute_pool(p)) {}
+    ~PoolGuard() { common::set_compute_pool(prev); }
   } pool_guard(backend.compute_pool());
 
   out.reports.resize(entries_.size());

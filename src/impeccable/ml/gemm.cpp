@@ -1,7 +1,6 @@
 #include "impeccable/ml/gemm.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 #include <vector>
 
@@ -10,8 +9,6 @@
 namespace impeccable::ml {
 
 namespace {
-
-std::atomic<common::ThreadPool*> g_compute_pool{nullptr};
 
 /// C rows [i0, i1) += alpha * A·B over K panels; A is (M×K, lda) row-major,
 /// B is (K×N, ldb) row-major. Every C element accumulates k = 0..K-1 in
@@ -150,11 +147,5 @@ void gemm_naive(Trans ta, Trans tb, int M, int N, int K, float alpha,
     }
   }
 }
-
-common::ThreadPool* set_compute_pool(common::ThreadPool* pool) {
-  return g_compute_pool.exchange(pool);
-}
-
-common::ThreadPool* compute_pool() { return g_compute_pool.load(); }
 
 }  // namespace impeccable::ml

@@ -40,10 +40,9 @@ void gemm_naive(Trans ta, Trans tb, int M, int N, int K, float alpha,
                 const float* A, int lda, const float* B, int ldb, float beta,
                 float* C, int ldc);
 
-/// Process-wide compute pool used by the NN layers for intra-layer
-/// parallelism. Defaults to nullptr (serial). Not owned; the caller keeps
-/// the pool alive while it is installed. Returns the previous pool.
-common::ThreadPool* set_compute_pool(common::ThreadPool* pool);
-common::ThreadPool* compute_pool();
+/// The process-wide compute pool the NN layers use for intra-layer
+/// parallelism; the one registry lives in common (see thread_pool.hpp).
+using common::compute_pool;
+using common::set_compute_pool;
 
 }  // namespace impeccable::ml

@@ -102,7 +102,8 @@ ScoreSpill& ScoreSpill::operator=(ScoreSpill&& other) noexcept {
 }
 
 void ScoreSpill::write(std::size_t begin, const float* v, std::size_t n) {
-  if (begin + n > n_) throw std::out_of_range("ScoreSpill::write");
+  if (begin > n_ || n > n_ - begin)
+    throw std::out_of_range("ScoreSpill::write");
   if (fd_ < 0) {
     std::copy(v, v + n, ram_.begin() + static_cast<std::ptrdiff_t>(begin));
     return;
@@ -120,7 +121,8 @@ void ScoreSpill::write(std::size_t begin, const float* v, std::size_t n) {
 }
 
 void ScoreSpill::read(std::size_t begin, float* out, std::size_t n) const {
-  if (begin + n > n_) throw std::out_of_range("ScoreSpill::read");
+  if (begin > n_ || n > n_ - begin)
+    throw std::out_of_range("ScoreSpill::read");
   if (fd_ < 0) {
     std::copy(ram_.begin() + static_cast<std::ptrdiff_t>(begin),
               ram_.begin() + static_cast<std::ptrdiff_t>(begin + n), out);
@@ -169,6 +171,7 @@ std::size_t score_ligands(const chem::LigandSource& source,
 
 std::vector<TopCandidate> select_top_k(const ScoreSpill& spill, std::size_t k,
                                        std::size_t chunk) {
+  if (chunk == 0) throw std::invalid_argument("select_top_k: chunk == 0");
   StreamingTopK topk(k);
   std::vector<float> buf(std::min(chunk, spill.size()));
   for (std::size_t b = 0; b < spill.size(); b += buf.size()) {

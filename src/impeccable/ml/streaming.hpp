@@ -9,7 +9,9 @@
 //   score_ligands    drives a LigandSource window-by-window through
 //                    depict -> SurrogateModel::predict_batch. Resident
 //                    memory is one window of images; each window is
-//                    release()d back to the source afterwards.
+//                    release()d back to the source afterwards. A window
+//                    is depicted one compute-pool job per ligand
+//                    (LigandSource::images).
 //                    predict_batch is chunk-invariant, so windowing never
 //                    changes a score.
 //   ScoreSpill       the per-iteration score array, RAM-backed for
@@ -114,7 +116,7 @@ std::size_t score_ligands(const chem::LigandSource& source,
 
 /// Exact top-k over a spill via a chunked scan (bounded buffer) through a
 /// StreamingTopK — the external-memory replacement for sorting the whole
-/// score vector.
+/// score vector. Throws std::invalid_argument for chunk == 0.
 std::vector<TopCandidate> select_top_k(const ScoreSpill& spill, std::size_t k,
                                        std::size_t chunk = std::size_t{1}
                                                            << 20);

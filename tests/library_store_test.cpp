@@ -8,19 +8,24 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "impeccable/chem/ligand_source.hpp"
+#include "impeccable/chem/smiles.hpp"
 #include "impeccable/chem/store.hpp"
 #include "impeccable/core/campaign.hpp"
 #include "impeccable/core/checkpoint.hpp"
 #include "impeccable/common/rng.hpp"
+#include "impeccable/common/thread_pool.hpp"
 #include "impeccable/ml/streaming.hpp"
 
 namespace chem = impeccable::chem;
+namespace common = impeccable::common;
 namespace core = impeccable::core;
 namespace fe = impeccable::fe;
 namespace ml = impeccable::ml;
@@ -64,6 +69,27 @@ core::ScienceConfig slim_science() {
   sci.surrogate.epochs = 3;
   sci.aae.epochs = 3;
   return sci;
+}
+
+/// Installs `pool` as the process compute pool for one scope.
+class ComputePoolScope {
+ public:
+  explicit ComputePoolScope(common::ThreadPool* pool)
+      : prev_(common::set_compute_pool(pool)) {}
+  ~ComputePoolScope() { common::set_compute_pool(prev_); }
+  ComputePoolScope(const ComputePoolScope&) = delete;
+  ComputePoolScope& operator=(const ComputePoolScope&) = delete;
+
+ private:
+  common::ThreadPool* prev_;
+};
+
+/// Same shape and the same bytes, so -0.0f vs 0.0f or NaN payloads count.
+bool bitwise_equal(const chem::Image& a, const chem::Image& b) {
+  return a.channels == b.channels && a.height == b.height &&
+         a.width == b.width && a.data.size() == b.data.size() &&
+         std::memcmp(a.data.data(), b.data.data(),
+                     a.data.size() * sizeof(float)) == 0;
 }
 
 core::ExecConfig slim_exec() {
@@ -215,6 +241,104 @@ TEST(LigandSource, MmapMatchesInMemoryBitwise) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(LigandSource, ImagesBitwiseAcrossComputePoolSizes) {
+  const auto dir = tmp_dir("imp_source_pools");
+  std::filesystem::remove_all(dir);
+  const std::size_t n = 48;
+  chem::SourceOptions sopts;
+  sopts.protonate_ph = 7.4;
+  chem::spill_generated_library("POOL", n, 91, dir.string());
+  const chem::MmapSource lazy(chem::LigandStore::open(dir.string()), sopts);
+  const chem::CompoundLibrary library = chem::generate_library("POOL", n, 91);
+
+  // Serial reference: no compute pool installed.
+  const ComputePoolScope serial(nullptr);
+  std::vector<chem::Image> ref;
+  lazy.images(0, n, ref);
+  ASSERT_EQ(ref.size(), n);
+  std::vector<std::string> ref_smiles;
+  for (std::size_t i = 0; i < n; ++i)
+    ref_smiles.push_back(chem::write_smiles(lazy.molecule(i)));
+
+  const auto expect_window = [&](const std::vector<chem::Image>& got,
+                                 std::size_t begin, std::size_t end,
+                                 const char* what, std::size_t threads) {
+    ASSERT_EQ(got.size(), end - begin) << what << ", " << threads << " threads";
+    for (std::size_t i = begin; i < end; ++i)
+      EXPECT_TRUE(bitwise_equal(got[i - begin], ref[i]))
+          << what << ", " << threads << " threads, ligand " << i;
+  };
+
+  for (const std::size_t threads : {1, 2, 8}) {
+    common::ThreadPool pool(threads);
+    const ComputePoolScope scope(&pool);
+
+    std::vector<chem::Image> got;
+    lazy.images(0, n, got);
+    expect_window(got, 0, n, "mmap", threads);
+    lazy.images(5, 29, got);  // a window that does not start at 0
+    expect_window(got, 5, 29, "mmap window", threads);
+
+    const chem::InMemorySource eager(library, sopts);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(bitwise_equal(eager.image(i), ref[i]))
+          << "in-memory build, " << threads << " threads, ligand " << i;
+      EXPECT_EQ(chem::write_smiles(eager.molecule(i)), ref_smiles[i])
+          << threads << " threads, ligand " << i;
+    }
+
+    // Nested: the window is featurized from inside a job on the same pool,
+    // as the ML1 stage and the streaming benchmark call it.
+    std::vector<chem::Image> nested_lazy, nested_eager;
+    pool.submit([&] {
+          lazy.images(0, n, nested_lazy);
+          eager.images(3, 40, nested_eager);
+        })
+        .get();
+    expect_window(nested_lazy, 0, n, "nested mmap", threads);
+    expect_window(nested_eager, 3, 40, "nested in-memory", threads);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(LigandSource, MalformedSmilesThrowsFromLowestIndexUnderAnyPool) {
+  chem::CompoundLibrary library = chem::generate_library("BAD", 40, 5);
+  library.entries[29].smiles = "C1CC";  // unclosed ring
+  library.entries[11].smiles = "CC(C";  // unclosed branch
+  const auto parse_error = [](const std::string& smiles) {
+    try {
+      (void)chem::parse_smiles(smiles);
+    } catch (const chem::SmilesError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::string expected = parse_error(library.entries[11].smiles);
+  ASSERT_FALSE(expected.empty());
+  ASSERT_NE(expected, parse_error(library.entries[29].smiles))
+      << "the two defects must be told apart by their messages";
+
+  const auto build_error = [&library] {
+    try {
+      const chem::InMemorySource source(library);
+    } catch (const chem::SmilesError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no SmilesError");
+  };
+  {
+    const ComputePoolScope serial(nullptr);
+    EXPECT_EQ(build_error(), expected);
+  }
+  for (const std::size_t threads : {2, 8}) {
+    common::ThreadPool pool(threads);
+    const ComputePoolScope scope(&pool);
+    EXPECT_EQ(build_error(), expected) << threads << " threads";
+    EXPECT_EQ(pool.submit(build_error).get(), expected)
+        << "nested, " << threads << " threads";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Streaming selection
 
@@ -287,6 +411,34 @@ TEST(ScoreSpill, FileBackedMatchesInMemory) {
   for (std::size_t i = 0; i < ta.size(); ++i)
     EXPECT_EQ(ta[i].index, tb[i].index);
   // The spill file is owned: destruction unlinks it (checked after scope).
+}
+
+TEST(ScoreSpill, RangeCheckDoesNotWrapAround) {
+  const auto path = tmp_dir("imp_spill_wrap.f32");
+  std::filesystem::remove_all(path);
+  auto mem = ml::ScoreSpill::in_memory(8);
+  auto file = ml::ScoreSpill::file_backed(8, path.string());
+  const float v[2] = {1.0f, 2.0f};
+  float out[2] = {};
+  constexpr std::size_t kHuge = std::numeric_limits<std::size_t>::max();
+  for (ml::ScoreSpill* spill : {&mem, &file}) {
+    // begin + n wraps to 1 here; the old check let it through.
+    EXPECT_THROW(spill->write(kHuge, v, 2), std::out_of_range);
+    EXPECT_THROW(spill->read(kHuge, out, 2), std::out_of_range);
+    EXPECT_THROW(spill->write(2, v, kHuge), std::out_of_range);
+    EXPECT_THROW(spill->read(7, out, 2), std::out_of_range);
+    EXPECT_THROW(spill->write(9, v, 0), std::out_of_range);
+    // In range, up to and including an empty range at the end.
+    EXPECT_NO_THROW(spill->write(6, v, 2));
+    EXPECT_NO_THROW(spill->read(8, out, 0));
+    EXPECT_EQ(spill->at(7), 2.0f);
+  }
+}
+
+TEST(ScoreSpill, SelectTopKRejectsZeroChunk) {
+  auto spill = ml::ScoreSpill::in_memory(16);
+  // Used to loop forever: a zero-length buffer never advances the scan.
+  EXPECT_THROW((void)ml::select_top_k(spill, 4, 0), std::invalid_argument);
 }
 
 TEST(ScoreStreaming, WindowSizeNeverChangesScores) {
