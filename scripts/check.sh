@@ -19,14 +19,14 @@
 #      with the lockdep runtime live in every library lock — the rank table
 #      in common/lockdep.hpp is enforced on every acquisition the suite
 #      drives — plus the audit label again under that configuration;
-#   5. tsan preset: the concurrency-sensitive subsets (obs + graph + serve
-#      + multi + raptor + library labels — serve covers the inference
-#      server's worker/submitter paths and the concurrent
-#      SurrogateModel::predict_batch contract; multi covers shared-backend
-#      multi-target campaign runs; raptor covers the overlay's bulking and
-#      fan-out on LocalBackend pool threads; library covers ligand
-#      featurization fanned out over compute pools of 1, 2 and 8 threads,
-#      nested inside pool jobs too);
+#   5. tsan preset: one lane, `tsan-concurrency`, over every
+#      concurrency-sensitive label — obs (recorder/metrics), graph (stage
+#      graph + campaign runs), serve (inference-server worker/submitter
+#      paths and the concurrent SurrogateModel::predict_batch contract),
+#      multi (shared-backend multi-target campaigns), raptor (overlay
+#      bulking and fan-out on LocalBackend pool threads), library (ligand
+#      featurization over compute pools of 1, 2 and 8 threads, nested too)
+#      and pool (the work-stealing pool itself: exec_engine_test);
 #   6. native preset (-march=native Release): the `dock`-labelled suite —
 #      the batched SIMD scorer's bitwise-equivalence gate must hold under
 #      the widest vectorization the host supports, not just the portable
@@ -109,23 +109,8 @@ echo "== configure + build (tsan preset) =="
 cmake --preset tsan
 cmake --build --preset tsan -j "$JOBS"
 
-echo "== tsan: obs-labeled tests =="
-ctest --preset tsan-obs -j "$JOBS"
-
-echo "== tsan: graph-labeled tests =="
-ctest --preset tsan-graph -j "$JOBS"
-
-echo "== tsan: serve-labeled tests =="
-ctest --preset tsan-serve -j "$JOBS"
-
-echo "== tsan: multi-labeled tests (shared-backend multi-target campaigns) =="
-ctest --preset tsan-multi -j "$JOBS"
-
-echo "== tsan: raptor-labeled tests (overlay over LocalBackend threads) =="
-ctest --preset tsan-raptor -j "$JOBS"
-
-echo "== tsan: library-labeled tests (featurization over the compute pool) =="
-ctest --preset tsan-library -j "$JOBS"
+echo "== tsan: concurrency lane (obs, graph, serve, multi, raptor, library, pool labels) =="
+ctest --preset tsan-concurrency -j "$JOBS"
 
 echo "== configure + build (native preset: -march=native Release) =="
 cmake --preset native -DIMPECCABLE_WERROR=ON

@@ -1,10 +1,13 @@
 #include "impeccable/core/checkpoint.hpp"
 
+#include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include <unistd.h>
 
 namespace impeccable::core {
 
@@ -17,8 +20,7 @@ constexpr const char* kHeader =
 }  // namespace
 
 void write_checkpoint(const CampaignReport& report, const std::string& path) {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) throw std::runtime_error("write_checkpoint: cannot open " + path);
+  std::ostringstream f;
   f << kHeader << "\n";
   // Enough digits that every double reads back bit-identical on resume.
   f << std::setprecision(std::numeric_limits<double>::max_digits10);
@@ -33,11 +35,27 @@ void write_checkpoint(const CampaignReport& report, const std::string& path) {
     }
     f << "\n";
   }
-  // A full disk surfaces only on flush: check the closed stream, or a
-  // truncated checkpoint would pass for a good one.
-  f.close();
-  if (!f)
-    throw std::runtime_error("write_checkpoint: write failed for " + path);
+  const std::string text = std::move(f).str();
+
+  // Crash safety: the rows go to `<path>.tmp`, which is flushed and fsynced
+  // before rename() swaps it over `path` in one step, so a crash or a failed
+  // write leaves the previous checkpoint whole. A full disk surfaces only on
+  // flush or close, hence the checks on both.
+  const std::string tmp = path + ".tmp";
+  std::FILE* out = std::fopen(tmp.c_str(), "wb");
+  if (!out) throw std::runtime_error("write_checkpoint: cannot open " + tmp);
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), out) == text.size() &&
+      std::fflush(out) == 0 && ::fsync(::fileno(out)) == 0;
+  const bool closed = std::fclose(out) == 0;
+  if (!written || !closed) {
+    ::unlink(tmp.c_str());
+    throw std::runtime_error("write_checkpoint: write failed for " + tmp);
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
+    throw std::runtime_error("write_checkpoint: cannot replace " + path);
+  }
 }
 
 std::map<std::string, CompoundRecord> read_checkpoint(const std::string& path) {
@@ -81,22 +99,6 @@ std::map<std::string, CompoundRecord> read_checkpoint(const std::string& path) {
     }
   }
   return out;
-}
-
-void write_scores_csv(const std::vector<std::pair<std::string, double>>& scores,
-                      const std::map<std::string, std::string>& id_to_smiles,
-                      const std::string& path) {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) throw std::runtime_error("write_scores_csv: cannot open " + path);
-  f << "id,smiles,score\n";
-  for (const auto& [id, score] : scores) {
-    const auto it = id_to_smiles.find(id);
-    f << id << ',' << (it == id_to_smiles.end() ? "" : it->second) << ','
-      << score << "\n";
-  }
-  f.close();
-  if (!f)
-    throw std::runtime_error("write_scores_csv: write failed for " + path);
 }
 
 }  // namespace impeccable::core

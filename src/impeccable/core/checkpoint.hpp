@@ -18,17 +18,14 @@ namespace impeccable::core {
 
 /// Write every compound record to `path` as CSV
 /// (id,smiles,surrogate,docked,dock_score,cg_done,cg_energy,cg_error,fg...).
-/// Throws std::runtime_error if the file cannot be opened or fully written.
+/// The rows are written and fsynced to `<path>.tmp`, then renamed over
+/// `path`, so `path` always holds either the previous or the new checkpoint.
+/// Throws std::runtime_error if the temp file cannot be opened, fully
+/// written or renamed; the temp file is removed and `path` left untouched.
 void write_checkpoint(const CampaignReport& report, const std::string& path);
 
 /// Read a checkpoint back into compound records.
 /// Throws std::runtime_error on malformed files.
 std::map<std::string, CompoundRecord> read_checkpoint(const std::string& path);
-
-/// Write just (id, smiles, score) rows — the ML1 -> S1 interchange format.
-/// Throws std::runtime_error if the file cannot be opened or fully written.
-void write_scores_csv(const std::vector<std::pair<std::string, double>>& scores,
-                      const std::map<std::string, std::string>& id_to_smiles,
-                      const std::string& path);
 
 }  // namespace impeccable::core

@@ -71,12 +71,6 @@ std::vector<Vec3> protein_point_cloud(const Frame& frame, const System& system) 
   return point_cloud(frame, system.topology.selection(BeadKind::Protein));
 }
 
-double mean_interaction_energy(const Trajectory& traj) {
-  common::RunningStats rs;
-  for (const auto& f : traj.frames) rs.add(f.energy.interaction);
-  return rs.count() ? rs.mean() : 0.0;
-}
-
 std::size_t detect_equilibration(const std::vector<double>& series) {
   const std::size_t n = series.size();
   if (n < 8) return 0;

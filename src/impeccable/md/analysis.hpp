@@ -35,10 +35,6 @@ std::vector<common::Vec3> protein_point_cloud(const Frame& frame,
 std::vector<common::Vec3> point_cloud(const Frame& frame,
                                       const std::vector<int>& selection);
 
-/// Mean of the protein-ligand interaction energy over the trajectory frames
-/// (uses the energies recorded at report time).
-double mean_interaction_energy(const Trajectory& traj);
-
 /// Automated equilibration detection (Chodera-style): choose the truncation
 /// point t0 that maximizes the number of effectively uncorrelated samples in
 /// series[t0:], with the statistical inefficiency estimated from block

@@ -223,13 +223,6 @@ std::vector<std::vector<double>> Aae3d::embed_batch(
   return out;
 }
 
-double Aae3d::reconstruction_error(const std::vector<common::Vec3>& cloud) {
-  const Tensor x = to_tensor({cloud}, 0, 1);
-  const Tensor z = encoder_.forward(x);
-  const Tensor y = decoder_.forward(z).reshaped({1, points_, 3});
-  return chamfer_loss(y, x).value;
-}
-
 void Aae3d::save_weights(const std::string& prefix) {
   save_parameters(encoder_, prefix + ".enc");
   save_parameters(decoder_, prefix + ".dec");

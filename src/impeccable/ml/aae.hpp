@@ -79,9 +79,6 @@ class Aae3d {
   std::vector<std::vector<double>> embed_batch(
       const std::vector<std::vector<common::Vec3>>& clouds);
 
-  /// Chamfer reconstruction error of one cloud (novelty/outlier signal).
-  double reconstruction_error(const std::vector<common::Vec3>& cloud);
-
   const AaeOptions& options() const { return opts_; }
   int points() const { return points_; }
 

@@ -247,13 +247,6 @@ std::size_t GraphRunReport::failed() const {
                     [](const TaskResult& r) { return !r.ok; }));
 }
 
-std::vector<double> GraphRunReport::ready_waits() const {
-  std::vector<double> waits;
-  waits.reserve(nodes.size());
-  for (const NodeReport& n : nodes) waits.push_back(n.ready_wait());
-  return waits;
-}
-
 std::vector<std::pair<double, std::size_t>>
 GraphRunReport::ready_wait_histogram() const {
   // Eight log-spaced buckets from 10ms to 100ks; the first also absorbs

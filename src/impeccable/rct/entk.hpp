@@ -127,8 +127,6 @@ struct GraphRunReport {
 
   std::size_t completed() const { return results.size(); }
   std::size_t failed() const;
-  /// Per-node ready-queue waits (NodeReport::ready_wait), node-id order.
-  std::vector<double> ready_waits() const;
   /// Log-spaced histogram of ready-queue waits: (upper_edge_seconds, count)
   /// pairs; the first bucket also absorbs zero/negative waits.
   std::vector<std::pair<double, std::size_t>> ready_wait_histogram() const;

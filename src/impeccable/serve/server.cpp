@@ -11,6 +11,10 @@ namespace impeccable::serve {
 
 namespace {
 
+/// Share of deadline_us the adaptive flush threshold aims to spend in the
+/// model; the rest is left for queueing.
+constexpr double kBatchBudgetFraction = 0.5;
+
 std::chrono::steady_clock::duration to_duration(double microseconds) {
   return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
       std::chrono::duration<double, std::micro>(std::max(0.0, microseconds)));
@@ -172,14 +176,11 @@ void InferenceServer::worker_loop(Target& t) {
       t.ewma_image_us = t.ewma_image_us <= 0.0
                             ? per_image_us
                             : 0.7 * t.ewma_image_us + 0.3 * per_image_us;
-      if (opts_.adaptive_batching) {
-        // Size the next flush so its model time fits the deadline budget.
-        const double budget_us =
-            opts_.deadline_us * std::max(0.0, opts_.batch_budget_fraction);
-        const double want = budget_us / std::max(t.ewma_image_us, 1e-3);
-        t.flush_threshold =
-            std::clamp(static_cast<int>(want), opts_.min_batch, opts_.max_batch);
-      }
+      // Size the next flush so its model time fits the deadline budget.
+      const double budget_us = opts_.deadline_us * kBatchBudgetFraction;
+      const double want = budget_us / std::max(t.ewma_image_us, 1e-3);
+      t.flush_threshold =
+          std::clamp(static_cast<int>(want), opts_.min_batch, opts_.max_batch);
     }
     lk.unlock();
 

@@ -12,7 +12,7 @@
 //    the oldest request has waited `deadline_us` — so light load pays at
 //    most one deadline of latency and heavy load runs at full batch
 //    efficiency. The batch target tracks observed per-image model latency
-//    (EWMA) so `batch_budget_fraction` of the deadline is spent computing.
+//    (EWMA) so half of the deadline is spent computing.
 //
 //  * Sharded score cache. Requests carry a 128-bit content key; hits are
 //    served from serve::ShardedScoreCache without touching the model, and
@@ -73,11 +73,6 @@ struct ServeOptions {
   /// Admission watermark: queued (not yet flushed) requests per target.
   std::size_t queue_capacity = 1024;
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
-  /// Adapt the flush threshold from observed model latency; when off the
-  /// threshold is pinned at max_batch.
-  bool adaptive_batching = true;
-  /// Fraction of deadline_us the adaptive batch aims to spend in the model.
-  double batch_budget_fraction = 0.5;
   CacheOptions cache;  ///< capacity 0 disables the score cache
 };
 

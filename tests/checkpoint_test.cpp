@@ -1,15 +1,23 @@
-// Tests for campaign checkpointing, resume, and the CSV interchange.
+// Tests for campaign checkpointing: lossless round trips, crash-safe
+// writes, malformed-file rejection, and resume.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
+
+#include <sys/resource.h>
 
 #include "impeccable/core/campaign.hpp"
 #include "impeccable/core/checkpoint.hpp"
+
+#include "test_support.hpp"
 
 namespace core = impeccable::core;
 namespace fe = impeccable::fe;
@@ -43,8 +51,18 @@ core::ExecConfig mini_exec() {
   return exec;
 }
 
-std::filesystem::path tmp(const char* name) {
-  return std::filesystem::temp_directory_path() / name;
+core::CampaignReport one_record_report() {
+  core::CampaignReport report;
+  core::CompoundRecord r;
+  r.id = "X-1";
+  r.smiles = "CCO";
+  report.compounds[r.id] = r;
+  return report;
+}
+
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
 }
 
 }  // namespace
@@ -66,7 +84,7 @@ TEST(Checkpoint, RoundTripsRecords) {
   b.smiles = "c1ccccc1";
   report.compounds = {{a.id, a}, {b.id, b}};
 
-  const auto path = tmp("imp_ckpt.csv");
+  const auto path = tmp_path("imp_ckpt.csv");
   core::write_checkpoint(report, path.string());
   const auto back = core::read_checkpoint(path.string());
 
@@ -104,7 +122,7 @@ TEST(Checkpoint, RoundTripIsBitwiseLossless) {
     report.compounds[r.id] = r;
   }
 
-  const auto path = tmp("imp_ckpt_lossless.csv");
+  const auto path = tmp_path("imp_ckpt_lossless.csv");
   core::write_checkpoint(report, path.string());
   const auto back = core::read_checkpoint(path.string());
   std::filesystem::remove(path);
@@ -123,24 +141,70 @@ TEST(Checkpoint, RoundTripIsBitwiseLossless) {
 }
 
 TEST(Checkpoint, WriteFailureThrows) {
-  // /dev/full opens fine but every write fails with ENOSPC: the error only
-  // shows when the buffered rows are flushed, and must not pass silently.
-  core::CampaignReport report;
-  core::CompoundRecord r;
-  r.id = "X-1";
-  r.smiles = "CCO";
-  report.compounds[r.id] = r;
-  EXPECT_THROW(core::write_checkpoint(report, "/dev/full"), std::runtime_error);
+  // Cap this process's file size at zero: the temp file opens fine but the
+  // flush fails (EFBIG, as ENOSPC on a full disk). The error must not pass
+  // silently, and neither the target nor the temp file may be left behind.
+  const auto dir = tmp_path("imp_ckpt_write_failure");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto path = dir / "ckpt.csv";
+
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit capped = saved;
+  capped.rlim_cur = 0;
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &capped), 0);
+  EXPECT_THROW(core::write_checkpoint(one_record_report(), path.string()),
+               std::runtime_error);
+  EXPECT_EQ(setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
 }
 
-TEST(Checkpoint, ScoresCsvWriteFailureThrows) {
-  EXPECT_THROW(
-      core::write_scores_csv({{"A", -1.5}}, {{"A", "CCO"}}, "/dev/full"),
-      std::runtime_error);
+TEST(Checkpoint, FailedWriteKeepsPreviousCheckpoint) {
+  // A good checkpoint, then a write whose temp file cannot be created (the
+  // temp path is a directory): the old file must survive byte for byte.
+  const auto dir = tmp_path("imp_ckpt_keep_previous");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto path = dir / "ckpt.csv";
+  core::write_checkpoint(one_record_report(), path.string());
+  const std::string before = slurp(path);
+  ASSERT_FALSE(before.empty());
+
+  std::filesystem::create_directory(dir / "ckpt.csv.tmp");
+  core::CampaignReport bigger = one_record_report();
+  bigger.compounds["X-2"].id = "X-2";
+  EXPECT_THROW(core::write_checkpoint(bigger, path.string()),
+               std::runtime_error);
+  EXPECT_EQ(slurp(path), before);
+  // Nothing but the checkpoint and the blocking directory is in `dir`.
+  EXPECT_TRUE(std::filesystem::is_empty(dir / "ckpt.csv.tmp"));
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator()),
+            2);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Checkpoint, RenameFailureLeavesNoTempFile) {
+  // The target is a directory, so the temp file is written but cannot be
+  // renamed over it: the write throws and removes its temp file.
+  const auto dir = tmp_path("imp_ckpt_rename_failure");
+  std::filesystem::remove_all(dir);
+  const auto path = dir / "ckpt.csv";
+  std::filesystem::create_directories(path);
+  EXPECT_THROW(core::write_checkpoint(one_record_report(), path.string()),
+               std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(dir / "ckpt.csv.tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(path));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Checkpoint, RejectsMalformedFiles) {
-  const auto path = tmp("imp_bad_ckpt.csv");
+  const auto path = tmp_path("imp_bad_ckpt.csv");
   {
     std::ofstream f(path);
     f << "wrong,header\n";
@@ -158,7 +222,7 @@ TEST(Checkpoint, RejectsMalformedFiles) {
 }
 
 TEST(Checkpoint, ResumeSkipsFinishedDockingWork) {
-  const auto path = tmp("imp_resume.csv");
+  const auto path = tmp_path("imp_resume.csv");
 
   // First leg: one iteration.
   core::Target t1 = core::Target::make("R", 5, 30, 15);
@@ -184,20 +248,5 @@ TEST(Checkpoint, ResumeSkipsFinishedDockingWork) {
   for (const auto& [id, rec] : rep2.compounds)
     if (rec.docked) ++restored;
   EXPECT_EQ(restored, docked1);
-  std::filesystem::remove(path);
-}
-
-TEST(Checkpoint, ScoresCsvFormat) {
-  const auto path = tmp("imp_scores.csv");
-  core::write_scores_csv({{"A", -1.5}, {"B", -2.5}}, {{"A", "CCO"}},
-                         path.string());
-  std::ifstream f(path);
-  std::string line;
-  std::getline(f, line);
-  EXPECT_EQ(line, "id,smiles,score");
-  std::getline(f, line);
-  EXPECT_EQ(line, "A,CCO,-1.5");
-  std::getline(f, line);
-  EXPECT_EQ(line, "B,,-2.5");
   std::filesystem::remove(path);
 }

@@ -1,5 +1,6 @@
 // Tests for descriptors, fingerprints, diversity selection, 2D/3D coordinate
-// generation, depiction and the library generator.
+// generation, depiction, the library generator, Murcko scaffolds,
+// substructure matching and protonation.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,10 @@
 #include "impeccable/chem/fingerprint.hpp"
 #include "impeccable/chem/layout.hpp"
 #include "impeccable/chem/library.hpp"
+#include "impeccable/chem/protonation.hpp"
+#include "impeccable/chem/scaffold.hpp"
 #include "impeccable/chem/smiles.hpp"
+#include "impeccable/chem/substructure.hpp"
 #include "impeccable/common/vec3.hpp"
 
 namespace chem = impeccable::chem;
@@ -290,4 +294,186 @@ TEST(Library, OverlappingLibrariesShareExpectedFraction) {
   // 10 compounds come from the shared pool; collisions can add a couple.
   EXPECT_GE(shared, 9);
   EXPECT_LE(shared, 16);
+}
+
+TEST(MiscDiversity, MaxMinIsDeterministicPerSeed) {
+  std::vector<chem::BitSet> fps;
+  for (const char* s : {"CCO", "CCCO", "c1ccccc1", "c1ccncc1", "CC(=O)O"})
+    fps.push_back(chem::morgan_fingerprint(chem::parse_smiles(s)));
+  EXPECT_EQ(chem::maxmin_pick(fps, 3, 7), chem::maxmin_pick(fps, 3, 7));
+}
+
+// ----------------------------------------------------------------- scaffolds
+
+TEST(Scaffold, BenzeneIsItsOwnScaffold) {
+  const auto mol = chem::parse_smiles("c1ccccc1");
+  EXPECT_EQ(chem::scaffold_smiles(mol), chem::canonical_smiles("c1ccccc1"));
+}
+
+TEST(Scaffold, SideChainsAreStripped) {
+  // Toluene, phenol and chlorobenzene share the benzene scaffold.
+  const auto a = chem::scaffold_smiles(chem::parse_smiles("Cc1ccccc1"));
+  const auto b = chem::scaffold_smiles(chem::parse_smiles("Oc1ccccc1"));
+  const auto c = chem::scaffold_smiles(chem::parse_smiles("Clc1ccccc1"));
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(b, c);
+  EXPECT_EQ(a, chem::canonical_smiles("c1ccccc1"));
+}
+
+TEST(Scaffold, LinkersBetweenRingsAreKept) {
+  // Diphenylmethane: two rings + the CH2 linker survive.
+  const auto scaffold =
+      chem::murcko_scaffold(chem::parse_smiles("c1ccccc1Cc1ccccc1"));
+  EXPECT_EQ(scaffold.atom_count(), 13);
+  EXPECT_EQ(scaffold.ring_count(), 2);
+}
+
+TEST(Scaffold, AcyclicMoleculeGivesEmptyScaffold) {
+  const auto mol = chem::parse_smiles("CCOCC(=O)NCC");
+  EXPECT_EQ(chem::murcko_scaffold(mol).atom_count(), 0);
+  EXPECT_EQ(chem::scaffold_smiles(mol), "");
+}
+
+TEST(Scaffold, PendantRingSubstituentFallsOff) {
+  // Ibuprofen: everything except the phenyl ring is acyclic side chain.
+  const auto s =
+      chem::scaffold_smiles(chem::parse_smiles("CC(C)Cc1ccc(cc1)C(C)C(=O)O"));
+  EXPECT_EQ(s, chem::canonical_smiles("c1ccccc1"));
+}
+
+TEST(Scaffold, CensusCountsChemotypes) {
+  chem::CompoundLibrary lib;
+  lib.name = "T";
+  lib.entries = {{"a", "Cc1ccccc1"},
+                 {"b", "Oc1ccccc1"},
+                 {"c", "C1CCCCC1"},
+                 {"d", "CCCC"}};
+  const auto census = chem::scaffold_census(lib);
+  EXPECT_EQ(census.at(chem::canonical_smiles("c1ccccc1")), 2);
+  EXPECT_EQ(census.at(chem::canonical_smiles("C1CCCCC1")), 1);
+  EXPECT_EQ(census.at(""), 1);
+  EXPECT_EQ(census.size(), 3u);
+}
+
+TEST(Scaffold, GeneratedLibraryHasDiverseScaffolds) {
+  const auto lib = chem::generate_library("S", 40, 31);
+  const auto census = chem::scaffold_census(lib);
+  // The fragment generator should produce a healthy spread of chemotypes.
+  EXPECT_GE(census.size(), 10u);
+}
+
+// -------------------------------------------------------------- substructure
+
+TEST(Substructure, FindsBenzeneInAromatics) {
+  const auto toluene = chem::parse_smiles("Cc1ccccc1");
+  EXPECT_TRUE(chem::has_substructure(toluene, "c1ccccc1"));
+  const auto cyclohexane = chem::parse_smiles("C1CCCCC1");
+  EXPECT_FALSE(chem::has_substructure(cyclohexane, "c1ccccc1"));
+}
+
+TEST(Substructure, CarboxylicAcidMotif) {
+  EXPECT_TRUE(chem::has_substructure(
+      chem::parse_smiles("CC(C)Cc1ccc(cc1)C(C)C(=O)O"), "C(=O)O"));
+  EXPECT_FALSE(chem::has_substructure(chem::parse_smiles("CCOCC"), "C(=O)O"));
+}
+
+TEST(Substructure, BondOrderMatters) {
+  const auto ethene = chem::parse_smiles("C=C");
+  const auto ethane = chem::parse_smiles("CC");
+  EXPECT_TRUE(chem::has_substructure(ethene, "C=C"));
+  EXPECT_FALSE(chem::has_substructure(ethane, "C=C"));
+  EXPECT_FALSE(chem::has_substructure(ethene, "CC"));  // single-bond query
+}
+
+TEST(Substructure, CountsMultipleOccurrences) {
+  // Terephthalic-acid-like: two carboxyls on a ring.
+  const auto mol = chem::parse_smiles("OC(=O)c1ccc(cc1)C(=O)O");
+  // Each C(=O)O matches; O ordering yields one mapping per group.
+  EXPECT_EQ(chem::count_substructures(mol, chem::parse_smiles("C(=O)O")), 2u);
+}
+
+TEST(Substructure, QueryLargerThanMoleculeNeverMatches) {
+  const auto small = chem::parse_smiles("CC");
+  EXPECT_FALSE(chem::has_substructure(small, "CCCC"));
+  EXPECT_TRUE(chem::find_substructures(small, chem::parse_smiles("CCC")).empty());
+}
+
+TEST(Substructure, MatchMapsAreConsistent) {
+  const auto mol = chem::parse_smiles("CCOc1ccccc1");
+  const auto query = chem::parse_smiles("COc1ccccc1");
+  const auto matches = chem::find_substructures(mol, query, 4);
+  ASSERT_FALSE(matches.empty());
+  for (const auto& map : matches) {
+    ASSERT_EQ(map.size(), static_cast<std::size_t>(query.atom_count()));
+    for (int qa = 0; qa < query.atom_count(); ++qa)
+      EXPECT_EQ(mol.atom(map[static_cast<std::size_t>(qa)]).element,
+                query.atom(qa).element);
+  }
+}
+
+TEST(Substructure, RingQueryRequiresRing) {
+  // Pyridine in a fused system.
+  const auto mol = chem::parse_smiles("c1ccc2ncccc2c1");  // quinoline
+  EXPECT_TRUE(chem::has_substructure(mol, "c1ccncc1"));
+  EXPECT_FALSE(chem::has_substructure(chem::parse_smiles("c1ccccc1"), "c1ccncc1"));
+}
+
+// --------------------------------------------------------------- protonation
+
+TEST(Protonation, CarboxylDeprotonatesAtPhysiologicalPh) {
+  const auto mol = chem::parse_smiles("CC(=O)O");
+  const auto prep = chem::protonate_for_ph(mol, 7.4);
+  int anions = 0;
+  for (int i = 0; i < prep.atom_count(); ++i)
+    if (prep.atom(i).formal_charge == -1) ++anions;
+  EXPECT_EQ(anions, 1);
+  // Below the pKa it stays neutral.
+  const auto acid = chem::protonate_for_ph(mol, 2.0);
+  for (int i = 0; i < acid.atom_count(); ++i)
+    EXPECT_EQ(acid.atom(i).formal_charge, 0);
+}
+
+TEST(Protonation, AliphaticAmineProtonates) {
+  const auto mol = chem::parse_smiles("CCN");
+  const auto prep = chem::protonate_for_ph(mol, 7.4);
+  int cations = 0, n_idx = -1;
+  for (int i = 0; i < prep.atom_count(); ++i)
+    if (prep.atom(i).formal_charge == 1) {
+      ++cations;
+      n_idx = i;
+    }
+  ASSERT_EQ(cations, 1);
+  EXPECT_EQ(prep.hydrogen_count(n_idx), 3);  // NH2 -> NH3+
+  // Above the amine pKa it stays neutral.
+  const auto basic = chem::protonate_for_ph(mol, 12.0);
+  for (int i = 0; i < basic.atom_count(); ++i)
+    EXPECT_EQ(basic.atom(i).formal_charge, 0);
+}
+
+TEST(Protonation, AmidesAnilinesAndAromaticsAreUntouched) {
+  for (const char* s : {"CC(=O)N", "Nc1ccccc1", "c1ccncc1", "CC#N"}) {
+    const auto prep = chem::protonate_for_ph(chem::parse_smiles(s), 7.4);
+    for (int i = 0; i < prep.atom_count(); ++i)
+      EXPECT_EQ(prep.atom(i).formal_charge, 0) << s;
+  }
+}
+
+TEST(Protonation, IonizableSiteCensus) {
+  // Glycine-like: one acid + one base.
+  const auto mol = chem::parse_smiles("NCC(=O)O");
+  const auto [acids, bases] = chem::ionizable_sites(mol);
+  EXPECT_EQ(acids, 1);
+  EXPECT_EQ(bases, 1);
+  // Zwitterion after preparation.
+  const auto prep = chem::protonate_for_ph(mol, 7.4);
+  int net = 0;
+  for (int i = 0; i < prep.atom_count(); ++i) net += prep.atom(i).formal_charge;
+  EXPECT_EQ(net, 0);
+}
+
+TEST(Protonation, PreservesGraphShape) {
+  const auto mol = chem::parse_smiles("NCCCC(=O)O");
+  const auto prep = chem::protonate_for_ph(mol, 7.4);
+  EXPECT_EQ(prep.atom_count(), mol.atom_count());
+  EXPECT_EQ(prep.bond_count(), mol.bond_count());
 }

@@ -1,6 +1,7 @@
 // SMILES parser/writer tests: known drugs, formulas, implicit hydrogens,
 // ring perception, canonical round-trips (including a parameterized sweep
-// over the generated library), and error handling.
+// over the generated library), error handling, and corner syntax
+// (charges, isotopes, ring-bond orders, fused pyrrole nitrogens).
 
 #include <gtest/gtest.h>
 
@@ -238,3 +239,65 @@ TEST_P(LibraryRoundTrip, GeneratedCompoundsRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LibraryRoundTrip,
                          ::testing::Values(1ull, 7ull, 42ull, 1234ull, 99999ull));
+
+// ------------------------------------------------------------- corner syntax
+
+TEST(SmilesEdge, MultiCharges) {
+  const auto dication = chem::parse_smiles("[NH2+]CC[NH2+]");
+  int total = 0;
+  for (int i = 0; i < dication.atom_count(); ++i)
+    total += dication.atom(i).formal_charge;
+  EXPECT_EQ(total, 2);
+
+  const auto two = chem::parse_smiles("[N+2]");
+  EXPECT_EQ(two.atom(0).formal_charge, 2);
+  const auto double_plus = chem::parse_smiles("[N++]");
+  EXPECT_EQ(double_plus.atom(0).formal_charge, 2);
+  const auto minus2 = chem::parse_smiles("[O-2]");
+  EXPECT_EQ(minus2.atom(0).formal_charge, -2);
+}
+
+TEST(SmilesEdge, ExplicitAromaticBondSymbol) {
+  const auto a = chem::parse_smiles("c1ccccc1");
+  const auto b = chem::parse_smiles("c:1:c:c:c:c:c:1");
+  EXPECT_EQ(chem::write_smiles(a), chem::write_smiles(b));
+}
+
+TEST(SmilesEdge, IsotopesAreAcceptedAndIgnored) {
+  const auto a = chem::parse_smiles("[13CH4]");
+  EXPECT_EQ(a.formula(), "CH4");
+  const auto b = chem::parse_smiles("[2H]");  // deuterium -> plain H atom
+  EXPECT_EQ(b.atom(0).element, chem::Element::H);
+}
+
+TEST(SmilesEdge, RingBondOrderAtEitherEnd) {
+  // Cyclohexene written with '=' on the opening or closing digit.
+  const auto open = chem::parse_smiles("C=1CCCCC1");
+  const auto close = chem::parse_smiles("C1CCCCC=1");
+  EXPECT_EQ(chem::write_smiles(open), chem::write_smiles(close));
+  int doubles = 0;
+  for (int b = 0; b < open.bond_count(); ++b)
+    if (open.bond(b).order == 2) ++doubles;
+  EXPECT_EQ(doubles, 1);
+}
+
+TEST(SmilesEdge, FusedAromaticWithPyrroleNitrogen) {
+  // Indole: the [nH] must survive the round trip inside a fused system.
+  const auto mol = chem::parse_smiles("c1ccc2[nH]ccc2c1");
+  const auto re = chem::parse_smiles(chem::write_smiles(mol));
+  EXPECT_EQ(mol.formula(), re.formula());
+  int nh = 0;
+  for (int i = 0; i < re.atom_count(); ++i)
+    if (re.atom(i).element == chem::Element::N && re.hydrogen_count(i) == 1)
+      ++nh;
+  EXPECT_EQ(nh, 1);
+}
+
+TEST(MiscSmiles, CanonicalSmilesOfGeneratedLibraryIsStable) {
+  // write(parse(write(mol))) == write(mol) — idempotence over a sample.
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    const auto mol = chem::generate_compound(4242, i);
+    const auto once = chem::write_smiles(mol);
+    EXPECT_EQ(chem::canonical_smiles(once), once);
+  }
+}

@@ -1,8 +1,10 @@
 // Tests for impeccable::common — RNG determinism and distributions,
-// descriptive statistics, thread pool semantics, Kabsch superposition.
+// descriptive statistics and block averaging, thread pool semantics,
+// Kabsch superposition.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <numbers>
@@ -16,6 +18,8 @@
 #include "impeccable/common/vec3.hpp"
 
 namespace ic = impeccable::common;
+namespace stats = impeccable::common;
+using impeccable::common::Rng;
 
 // ---------------------------------------------------------------- Rng
 
@@ -315,4 +319,54 @@ TEST(Kabsch, MismatchedSizesThrow) {
   const std::vector<ic::Vec3> b{{0, 0, 0}, {1, 1, 1}};
   EXPECT_THROW(ic::rmsd_superposed(a, b), std::invalid_argument);
   EXPECT_THROW((void)ic::rmsd_raw(a, b), std::invalid_argument);
+}
+
+// ----------------------------------------------------------- block averaging
+
+TEST(BlockAverage, MatchesPlainSemForIidData) {
+  Rng rng(6);
+  std::vector<double> xs;
+  for (int i = 0; i < 4096; ++i) xs.push_back(rng.gauss(0, 1));
+  const double plain = stats::std_error(xs);
+  const double block = stats::block_average_error(xs);
+  EXPECT_GE(block, plain * 0.9);
+  EXPECT_LE(block, plain * 1.8);
+}
+
+TEST(BlockAverage, ExceedsPlainSemForCorrelatedData) {
+  // AR(1) with strong autocorrelation: the naive SEM badly underestimates.
+  Rng rng(7);
+  std::vector<double> xs;
+  double x = 0.0;
+  const double phi = 0.95;
+  for (int i = 0; i < 4096; ++i) {
+    x = phi * x + rng.gauss(0, 1);
+    xs.push_back(x);
+  }
+  const double plain = stats::std_error(xs);
+  const double block = stats::block_average_error(xs);
+  EXPECT_GT(block, 2.0 * plain);
+}
+
+TEST(BlockAverage, SmallInputsAreSafe) {
+  EXPECT_EQ(stats::block_average_error({}), 0.0);
+  const std::vector<double> one{1.0};
+  EXPECT_EQ(stats::block_average_error(one), 0.0);
+  const std::vector<double> two{1.0, 2.0};
+  EXPECT_GT(stats::block_average_error(two), 0.0);
+}
+
+TEST(MiscStats, SpearmanAndPearsonRejectMismatch) {
+  const std::vector<double> a{1, 2, 3};
+  const std::vector<double> b{1, 2};
+  EXPECT_THROW((void)stats::pearson(a, b), std::invalid_argument);
+  EXPECT_THROW((void)stats::spearman(a, b), std::invalid_argument);
+}
+
+TEST(MiscStats, HistogramTextHasOneLinePerBin) {
+  stats::Histogram h(0, 10, 4);
+  h.add(1);
+  h.add(9);
+  const auto text = h.to_text();
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 4);
 }

@@ -32,6 +32,8 @@
 #include "impeccable/dock/search.hpp"
 #include "impeccable/obs/recorder.hpp"
 
+#include "test_support.hpp"
+
 namespace dock = impeccable::dock;
 namespace chem = impeccable::chem;
 namespace obs = impeccable::obs;
@@ -69,13 +71,6 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept { counted_free(p
 
 namespace {
 
-std::shared_ptr<const dock::AffinityGrid> test_grid(std::uint64_t seed = 1) {
-  const auto receptor = dock::Receptor::synthesize("BATCH", seed);
-  dock::GridOptions gopts;
-  gopts.nodes = 25;
-  return dock::compute_grid(receptor, gopts);
-}
-
 /// Poses for one equivalence round: mostly near the pocket, every third far
 /// outside the box so wall-penalty lanes sit next to in-box lanes.
 std::vector<dock::Pose> make_poses(const dock::Ligand& lig,
@@ -111,7 +106,7 @@ void expect_pose_eq(const dock::Pose& a, const dock::Pose& b) {
 // ---------------------------------------------------------- lane equivalence
 
 TEST(BatchEquivalence, EnergiesMatchScalarAtEveryBatchSize) {
-  const auto grid = test_grid(17);
+  const auto grid = receptor_grid("BATCH", 17, 25);
   const char* smiles[] = {
       "CCO",                          // rigid, tiny
       "CC(=O)Oc1ccccc1C(=O)O",        // aspirin, torsions
@@ -144,7 +139,7 @@ TEST(BatchEquivalence, EnergiesMatchScalarAtEveryBatchSize) {
 }
 
 TEST(BatchEquivalence, GradientsMatchScalarAtEveryBatchSize) {
-  const auto grid = test_grid(19);
+  const auto grid = receptor_grid("BATCH", 19, 25);
   const auto mol = chem::parse_smiles("CC(=O)Oc1ccccc1C(=O)O");
   const dock::Ligand lig(mol, 5);
   const dock::ScoringFunction score(*grid, lig);
@@ -188,7 +183,7 @@ TEST(BatchEquivalence, GradientsMatchScalarWithClampedPairsInBatch) {
   // poses in the same batch; every lane must still match the scalar path.
   // (With real vdW radii a pair on the distance floor is also over the
   // energy cap, so the distance class exercises both predicates at once.)
-  const auto grid = test_grid(47);
+  const auto grid = receptor_grid("BATCH", 47, 25);
   const auto mol = chem::parse_smiles("OCCCCCCCCCCCCCO");  // floppy chain
   const dock::Ligand lig(mol, 5);
   const dock::ScoringFunction score(*grid, lig);
@@ -272,7 +267,7 @@ TEST(BatchEquivalence, GradientsMatchScalarWithClampedPairsInBatch) {
 }
 
 TEST(BatchEquivalence, BatchedGridSamplersMatchScalarSamplers) {
-  const auto grid = test_grid(23);
+  const auto grid = receptor_grid("BATCH", 23, 25);
   const dock::GridField& aff = grid->map(dock::ProbeType::Aromatic);
   const dock::GridField& ele = grid->electrostatic;
 
@@ -330,7 +325,7 @@ TEST(BatchEquivalence, BatchedGridSamplersMatchScalarSamplers) {
 // ------------------------------------------------------ evaluation counting
 
 TEST(BatchAccounting, EvaluationsAdvancePerPoseNotPerBatch) {
-  const auto grid = test_grid(29);
+  const auto grid = receptor_grid("BATCH", 29, 25);
   const auto mol = chem::parse_smiles("CCOc1ccc(N)cc1");
   const dock::Ligand lig(mol, 3);
   const dock::ScoringFunction score(*grid, lig);
@@ -366,7 +361,7 @@ TEST(BatchAccounting, EvaluationsAdvancePerPoseNotPerBatch) {
 // ------------------------------------------------------------- allocation
 
 TEST(BatchAllocation, SteadyStateBatchedEvaluationIsAllocationFree) {
-  const auto grid = test_grid(31);
+  const auto grid = receptor_grid("BATCH", 31, 25);
   const auto mol = chem::parse_smiles("CC(=O)Oc1ccccc1C(=O)O");
   const dock::Ligand lig(mol, 3);
   const dock::ScoringFunction score(*grid, lig);
@@ -410,7 +405,7 @@ TEST(BatchAllocation, SteadyStateBatchedEvaluationIsAllocationFree) {
 // ------------------------------------------------------ trajectory identity
 
 TEST(BatchLga, TrajectoryBitwiseIdenticalWithAndWithoutBatching) {
-  const auto grid = test_grid(37);
+  const auto grid = receptor_grid("BATCH", 37, 25);
   const auto mol = chem::parse_smiles("CC(=O)Oc1ccccc1C(=O)O");
   const dock::Ligand lig(mol, 3);
   const dock::ScoringFunction score_a(*grid, lig);
@@ -449,7 +444,7 @@ TEST(BatchLga, TrajectoryBitwiseIdenticalWithAndWithoutBatching) {
 
 TEST(BatchLga, SolisWetsTrajectoryAlsoIdentical) {
   // Solis–Wets stays inline (it draws RNG); only plain evaluations batch.
-  const auto grid = test_grid(41);
+  const auto grid = receptor_grid("BATCH", 41, 25);
   const auto mol = chem::parse_smiles("CCOc1ccc(N)cc1");
   const dock::Ligand lig(mol, 3);
   const dock::ScoringFunction score(*grid, lig);
@@ -476,7 +471,7 @@ TEST(BatchLga, SolisWetsTrajectoryAlsoIdentical) {
 // ----------------------------------------------------------- observability
 
 TEST(BatchObservability, BatchMetricsRecordedWhenRecorderInstalled) {
-  const auto grid = test_grid(43);
+  const auto grid = receptor_grid("BATCH", 43, 25);
   const auto mol = chem::parse_smiles("CC(=O)Oc1ccccc1C(=O)O");
   const dock::Ligand lig(mol, 3);
   const dock::ScoringFunction score(*grid, lig);

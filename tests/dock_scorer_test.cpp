@@ -21,6 +21,8 @@
 #include "impeccable/dock/receptor.hpp"
 #include "impeccable/dock/score.hpp"
 
+#include "test_support.hpp"
+
 namespace dock = impeccable::dock;
 namespace chem = impeccable::chem;
 using impeccable::common::Rng;
@@ -58,13 +60,6 @@ void operator delete(void* p, const std::nothrow_t&) noexcept { counted_free(p);
 void operator delete[](void* p, const std::nothrow_t&) noexcept { counted_free(p); }
 
 namespace {
-
-std::shared_ptr<const dock::AffinityGrid> test_grid(std::uint64_t seed = 1) {
-  const auto receptor = dock::Receptor::synthesize("SCORER", seed);
-  dock::GridOptions gopts;
-  gopts.nodes = 25;
-  return dock::compute_grid(receptor, gopts);
-}
 
 // ------------------------------------------- reference (pre-fusion) scorer
 //
@@ -148,7 +143,7 @@ void expect_close(double a, double b, const char* what) {
 // ------------------------------------------------------------- allocation
 
 TEST(ScorerAllocation, SteadyStateEvaluateIsAllocationFree) {
-  const auto grid = test_grid(3);
+  const auto grid = receptor_grid("SCORER", 3, 25);
   const auto mol = chem::parse_smiles("CC(=O)Oc1ccccc1C(=O)O");
   const dock::Ligand lig(mol, 3);
   const dock::ScoringFunction score(*grid, lig);
@@ -180,7 +175,7 @@ TEST(ScorerAllocation, SteadyStateEvaluateIsAllocationFree) {
 TEST(ScorerAllocation, ScratchScoreCoordsIsAllocationFree) {
   // The pointer overload resizes the caller's forces vector (may allocate on
   // first use); the ScorerScratch overload must not allocate once warmed.
-  const auto grid = test_grid(5);
+  const auto grid = receptor_grid("SCORER", 5, 25);
   const auto mol = chem::parse_smiles("CC(=O)Oc1ccccc1C(=O)O");
   const dock::Ligand lig(mol, 3);
   const dock::ScoringFunction score(*grid, lig);
@@ -208,7 +203,7 @@ TEST(ScorerAllocation, ScratchScoreCoordsIsAllocationFree) {
 }
 
 TEST(ScorerAllocation, FallbackArenaSignaturesAreAllocationFreeToo) {
-  const auto grid = test_grid(3);
+  const auto grid = receptor_grid("SCORER", 3, 25);
   const auto mol = chem::parse_smiles("CCOc1ccc(N)cc1");
   const dock::Ligand lig(mol);
   const dock::ScoringFunction score(*grid, lig);
@@ -231,7 +226,7 @@ TEST(ScorerAllocation, FallbackArenaSignaturesAreAllocationFreeToo) {
 // ------------------------------------------------------- golden regression
 
 TEST(ScorerGolden, FusedKernelMatchesReferenceScorer) {
-  const auto grid = test_grid(7);
+  const auto grid = receptor_grid("SCORER", 7, 25);
   const char* smiles[] = {
       "CCO",
       "CC(=O)Oc1ccccc1C(=O)O",
@@ -276,7 +271,7 @@ TEST(ScorerGolden, FusedKernelMatchesReferenceScorer) {
 }
 
 TEST(ScorerGolden, SamplePairMatchesTwoIndependentSamples) {
-  const auto grid = test_grid(9);
+  const auto grid = receptor_grid("SCORER", 9, 25);
   const dock::GridField& aff = grid->map(dock::ProbeType::Donor);
   const dock::GridField& ele = grid->electrostatic;
 
@@ -329,7 +324,7 @@ Vec3 fd_force(const dock::ScoringFunction& score, std::vector<Vec3> coords,
 
 TEST(ScorerClamp, GradientConsistentAcrossDistanceFloor) {
   // n-pentane has exactly one nonbonded pair: the two terminal carbons.
-  const auto grid = test_grid(11);
+  const auto grid = receptor_grid("SCORER", 11, 25);
   const auto mol = chem::parse_smiles("CCCCC");
   const dock::Ligand lig(mol);
   ASSERT_EQ(lig.nonbonded_pairs().size(), 1u);
@@ -371,7 +366,7 @@ TEST(ScorerClamp, GradientConsistentAcrossDistanceFloor) {
 }
 
 TEST(ScorerClamp, GradientConsistentAcrossEnergyCap) {
-  const auto grid = test_grid(11);
+  const auto grid = receptor_grid("SCORER", 11, 25);
   const auto mol = chem::parse_smiles("CCCCC");
   const dock::Ligand lig(mol);
   const auto [pi, pj] = lig.nonbonded_pairs()[0];

@@ -1,6 +1,7 @@
 // Docking substrate tests: grid interpolation and gradients (vs finite
 // differences), ligand kinematics, pose-space gradients, local searches and
-// the full LGA engine.
+// the full LGA engine, the docking-box wall, conformer ensembles and
+// multi-structure docking.
 
 #include <gtest/gtest.h>
 
@@ -9,26 +10,19 @@
 #include "impeccable/chem/smiles.hpp"
 #include "impeccable/common/kabsch.hpp"
 #include "impeccable/common/rng.hpp"
+#include "impeccable/core/campaign.hpp"
 #include "impeccable/dock/engine.hpp"
 #include "impeccable/dock/receptor.hpp"
 #include "impeccable/dock/score.hpp"
 #include "impeccable/dock/search.hpp"
 
+#include "test_support.hpp"
+
 namespace dock = impeccable::dock;
 namespace chem = impeccable::chem;
+namespace core = impeccable::core;
 using impeccable::common::Rng;
 using impeccable::common::Vec3;
-
-namespace {
-
-std::shared_ptr<const dock::AffinityGrid> test_grid(std::uint64_t seed = 1) {
-  const auto receptor = dock::Receptor::synthesize("T1", seed);
-  dock::GridOptions gopts;
-  gopts.nodes = 25;  // smaller grid keeps tests fast
-  return dock::compute_grid(receptor, gopts);
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------- GridField
 
@@ -116,7 +110,7 @@ TEST(Receptor, DifferentSeedsDiffer) {
 TEST(Receptor, PocketCavityIsFavorable) {
   // The pocket center must be a low-energy region for a carbon probe
   // relative to a point inside the receptor wall.
-  const auto grid = test_grid(11);
+  const auto grid = receptor_grid("T1", 11, 25);
   const auto center = grid->map(dock::ProbeType::Carbon).sample(grid->pocket_center);
   EXPECT_LT(center.value, 10.0);  // not clashing
 }
@@ -216,7 +210,7 @@ TEST(Ligand, RandomPoseWithinRadius) {
 // ---------------------------------------------------------------- gradients
 
 TEST(Score, PoseGradientMatchesFiniteDifference) {
-  const auto grid = test_grid(2);
+  const auto grid = receptor_grid("T1", 2, 25);
   const auto mol = chem::parse_smiles("CC(=O)Oc1ccccc1C(=O)O");
   const dock::Ligand lig(mol, 3);
   const dock::ScoringFunction score(*grid, lig);
@@ -261,7 +255,7 @@ TEST(Score, PoseGradientMatchesFiniteDifference) {
 }
 
 TEST(Score, CountsEvaluations) {
-  const auto grid = test_grid(2);
+  const auto grid = receptor_grid("T1", 2, 25);
   const auto mol = chem::parse_smiles("CCO");
   const dock::Ligand lig(mol);
   const dock::ScoringFunction score(*grid, lig);
@@ -276,7 +270,7 @@ TEST(Score, CountsEvaluations) {
 // ---------------------------------------------------------------- searches
 
 TEST(Search, SolisWetsNeverWorsens) {
-  const auto grid = test_grid(5);
+  const auto grid = receptor_grid("T1", 5, 25);
   const auto mol = chem::parse_smiles("CCOc1ccccc1");
   const dock::Ligand lig(mol);
   const dock::ScoringFunction score(*grid, lig);
@@ -288,7 +282,7 @@ TEST(Search, SolisWetsNeverWorsens) {
 }
 
 TEST(Search, AdadeltaNeverWorsens) {
-  const auto grid = test_grid(5);
+  const auto grid = receptor_grid("T1", 5, 25);
   const auto mol = chem::parse_smiles("CCOc1ccccc1");
   const dock::Ligand lig(mol);
   const dock::ScoringFunction score(*grid, lig);
@@ -300,7 +294,7 @@ TEST(Search, AdadeltaNeverWorsens) {
 }
 
 TEST(Search, LocalSearchImprovesTypicalStarts) {
-  const auto grid = test_grid(6);
+  const auto grid = receptor_grid("T1", 6, 25);
   const auto mol = chem::parse_smiles("CC(C)c1ccc(O)cc1");
   const dock::Ligand lig(mol);
   const dock::ScoringFunction score(*grid, lig);
@@ -315,7 +309,7 @@ TEST(Search, LocalSearchImprovesTypicalStarts) {
 }
 
 TEST(Search, LgaFindsNegativeEnergyPose) {
-  const auto grid = test_grid(7);
+  const auto grid = receptor_grid("T1", 7, 25);
   const auto mol = chem::parse_smiles("CCOc1ccc(N)cc1");
   const dock::Ligand lig(mol);
   const dock::ScoringFunction score(*grid, lig);
@@ -330,7 +324,7 @@ TEST(Search, LgaFindsNegativeEnergyPose) {
 }
 
 TEST(Search, LgaBeatsRandomSampling) {
-  const auto grid = test_grid(8);
+  const auto grid = receptor_grid("T1", 8, 25);
   const auto mol = chem::parse_smiles("CCOc1ccccc1C(=O)N");
   const dock::Ligand lig(mol);
   const dock::ScoringFunction score(*grid, lig);
@@ -354,7 +348,7 @@ TEST(Search, LgaBeatsRandomSampling) {
 // ---------------------------------------------------------------- engine
 
 TEST(Engine, DockIsDeterministic) {
-  const auto grid = test_grid(20);
+  const auto grid = receptor_grid("T1", 20, 25);
   const auto mol = chem::parse_smiles("CCOc1ccccc1");
   dock::DockOptions opts;
   opts.runs = 2;
@@ -367,7 +361,7 @@ TEST(Engine, DockIsDeterministic) {
 }
 
 TEST(Engine, ClustersAreSortedAndCountRuns) {
-  const auto grid = test_grid(21);
+  const auto grid = receptor_grid("T1", 21, 25);
   const auto mol = chem::parse_smiles("CC(C)CO");
   dock::DockOptions opts;
   opts.runs = 4;
@@ -386,7 +380,7 @@ TEST(Engine, ClustersAreSortedAndCountRuns) {
 }
 
 TEST(Engine, DifferentLigandsDifferentScores) {
-  const auto grid = test_grid(22);
+  const auto grid = receptor_grid("T1", 22, 25);
   dock::DockOptions opts;
   opts.runs = 2;
   opts.lga.population = 20;
@@ -402,4 +396,114 @@ TEST(Engine, DifferentLigandsDifferentScores) {
 TEST(Engine, FlopModelScalesWithSize) {
   EXPECT_GT(dock::flops_per_evaluation(40, 300), dock::flops_per_evaluation(10, 20));
   EXPECT_GT(dock::flops_per_evaluation(10, 20), 0u);
+}
+
+// --------------------------------------------------------------- docking box
+
+TEST(DockingBox, SearchPullsEscapedPosesBackInside) {
+  const auto receptor = dock::Receptor::synthesize("wall", 3);
+  dock::GridOptions gopts;
+  gopts.nodes = 21;
+  const auto grid = dock::compute_grid(receptor, gopts);
+  const auto mol = chem::parse_smiles("CCO");
+  const dock::Ligand lig(mol);
+  const dock::ScoringFunction score(*grid, lig);
+
+  // Start far outside the box: the quadratic wall dominates and ADADELTA
+  // must pull the pose back towards the box.
+  dock::Pose outside = lig.identity_pose(grid->pocket_center +
+                                         Vec3{30.0, 0.0, 0.0});
+  const double e_out = score.evaluate(outside);
+  EXPECT_GT(e_out, 1e4);  // deep in the wall
+
+  dock::AdadeltaOptions aopts;
+  aopts.max_iterations = 300;
+  const auto relaxed = dock::adadelta(score, outside, aopts);
+  EXPECT_LT(relaxed.energy, e_out * 0.1);
+  const double dist = impeccable::common::distance(relaxed.pose.translation,
+                                                   grid->pocket_center);
+  EXPECT_LT(dist, 30.0);  // moved inward
+}
+
+TEST(DockingBox, WallEnergyGrowsQuadratically) {
+  const auto receptor = dock::Receptor::synthesize("wall2", 4);
+  dock::GridOptions gopts;
+  gopts.nodes = 21;
+  const auto grid = dock::compute_grid(receptor, gopts);
+  const auto& field = grid->map(dock::ProbeType::Carbon);
+  const Vec3 center = grid->pocket_center;
+  const double half = 5.0;  // box half-width: (21-1) nodes x 0.5 A / 2
+  const double e1 = field.sample(center + Vec3{half + 2.0, 0, 0}).value;
+  const double e2 = field.sample(center + Vec3{half + 4.0, 0, 0}).value;
+  // Doubling the overshoot roughly quadruples the wall term.
+  EXPECT_GT(e2, 2.5 * e1);
+}
+
+// ------------------------------------------------------- conformer ensembles
+
+namespace {
+
+dock::DockOptions fast_dock() {
+  dock::DockOptions d;
+  d.runs = 1;
+  d.lga.population = 16;
+  d.lga.generations = 6;
+  return d;
+}
+
+}  // namespace
+
+TEST(ConformerEnsemble, BestOfConformersIsAtLeastSingle) {
+  const auto grid = receptor_grid("G", 3, 21);
+  const auto mol = chem::parse_smiles("CCOc1ccccc1CC(=O)N");
+  std::vector<double> per_conformer;
+  const auto multi = dock::dock_conformer_ensemble(*grid, mol, "L", 4,
+                                                   fast_dock(), &per_conformer);
+  ASSERT_EQ(per_conformer.size(), 4u);
+  const auto single = dock::dock(*grid, mol, "L", fast_dock());
+  EXPECT_LE(multi.best_score, single.best_score + 1e-9);
+  // The returned best equals the per-conformer minimum.
+  EXPECT_DOUBLE_EQ(multi.best_score,
+                   *std::min_element(per_conformer.begin(), per_conformer.end()));
+}
+
+TEST(ConformerEnsemble, EvaluationsAccumulate) {
+  const auto grid = receptor_grid("G", 4, 21);
+  const auto mol = chem::parse_smiles("CCCCO");
+  const auto one = dock::dock_conformer_ensemble(*grid, mol, "L", 1, fast_dock());
+  const auto three = dock::dock_conformer_ensemble(*grid, mol, "L", 3, fast_dock());
+  EXPECT_GT(three.evaluations, 2 * one.evaluations);
+}
+
+TEST(MultiStructure, PicksBestAcrossGrids) {
+  std::vector<std::shared_ptr<const dock::AffinityGrid>> grids{
+      receptor_grid("G", 10, 21), receptor_grid("G", 11, 21),
+      receptor_grid("G", 12, 21)};
+  const auto mol = chem::parse_smiles("CC(C)c1ccc(O)cc1");
+  int best_structure = -1;
+  const auto res = dock::dock_multi_structure(grids, mol, "L", fast_dock(),
+                                              &best_structure);
+  ASSERT_GE(best_structure, 0);
+  ASSERT_LT(best_structure, 3);
+  // Re-dock against the winning grid alone reproduces the same score.
+  dock::DockOptions sopts = fast_dock();
+  sopts.seed = fast_dock().seed ^ (0x9e37 * (static_cast<std::size_t>(best_structure) + 1));
+  const auto direct = dock::dock(*grids[static_cast<std::size_t>(best_structure)],
+                                 mol, "L", sopts);
+  EXPECT_DOUBLE_EQ(res.best_score, direct.best_score);
+}
+
+TEST(MultiStructure, RejectsEmptyGridList) {
+  const auto mol = chem::parse_smiles("CCO");
+  EXPECT_THROW(dock::dock_multi_structure({}, mol, "L"), std::invalid_argument);
+}
+
+TEST(MultiStructure, TargetEnsembleBuildsVariants) {
+  const auto t = core::Target::make("T", 5, 30, 15, /*crystal_structures=*/3);
+  EXPECT_EQ(t.grids.size(), 3u);
+  EXPECT_EQ(t.grid.get(), t.grids.front().get());
+  // The variants differ (different pocket maps).
+  const auto a = t.grids[0]->map(dock::ProbeType::Carbon).sample(t.grids[0]->pocket_center);
+  const auto b = t.grids[1]->map(dock::ProbeType::Carbon).sample(t.grids[1]->pocket_center);
+  EXPECT_NE(a.value, b.value);
 }

@@ -20,6 +20,8 @@
 #include "impeccable/ml/layers.hpp"
 #include "impeccable/ml/optim.hpp"
 
+#include "test_support.hpp"
+
 namespace ic = impeccable::common;
 namespace ml = impeccable::ml;
 namespace dock = impeccable::dock;
@@ -140,10 +142,7 @@ TEST(ExecEngine, ParallelForCoversRangeForManyGrains) {
 // ---------------------------------------------------------------- dock
 
 TEST(ExecEngine, DockIsIdenticalAtPoolSizes1And8) {
-  const auto receptor = dock::Receptor::synthesize("T1", 20);
-  dock::GridOptions gopts;
-  gopts.nodes = 25;
-  const auto grid = dock::compute_grid(receptor, gopts);
+  const auto grid = receptor_grid("T1", 20, 25);
   const auto mol = chem::parse_smiles("CCOc1ccccc1");
 
   dock::DockOptions opts;

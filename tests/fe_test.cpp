@@ -1,6 +1,6 @@
 // Free-energy protocol tests: MMPBSA-lite estimator, ESMACS ensemble
-// statistics (including the CG/FG contrast and the adaptive variant), and
-// the TIES thermodynamic-integration protocol.
+// statistics (including the CG/FG contrast, the adaptive variant and the
+// within-replica error), and the TIES thermodynamic-integration protocol.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,8 @@
 #include "impeccable/fe/ties.hpp"
 #include "impeccable/md/analysis.hpp"
 #include "impeccable/md/forcefield.hpp"
+
+#include "test_support.hpp"
 
 namespace fe = impeccable::fe;
 namespace md = impeccable::md;
@@ -32,10 +34,7 @@ struct LpcFixture {
 /// Build a small docked LPC: dock a ligand into a synthetic receptor grid,
 /// then transplant the best pose into the matching MD protein.
 LpcFixture make_lpc(const char* smiles, std::uint64_t seed) {
-  const auto receptor = dock::Receptor::synthesize("R", seed);
-  dock::GridOptions gopts;
-  gopts.nodes = 21;
-  const auto grid = dock::compute_grid(receptor, gopts);
+  const auto grid = receptor_grid("R", seed, 21);
   const auto mol = chem::parse_smiles(smiles);
   dock::DockOptions dopts;
   dopts.runs = 1;
@@ -253,4 +252,33 @@ TEST(Ties, ErrorPropagationIsFinitePositive) {
   const auto res = fe::run_ties(fx.system, cfg, 6);
   EXPECT_TRUE(std::isfinite(res.delta_g));
   EXPECT_GT(res.std_error, 0.0);
+}
+
+// ------------------------------------------------------------- ESMACS errors
+
+TEST(EsmacsErrors, WithinReplicaErrorIsReported) {
+  const auto receptor = dock::Receptor::synthesize("E", 71);
+  dock::GridOptions gopts;
+  gopts.nodes = 21;
+  const auto grid = dock::compute_grid(receptor, gopts);
+  const auto mol = chem::parse_smiles("CCOc1ccccc1");
+  dock::DockOptions dopts;
+  dopts.runs = 1;
+  dopts.lga.population = 16;
+  dopts.lga.generations = 6;
+  const auto pose = dock::dock(*grid, mol, "L", dopts);
+  md::ProteinOptions popts;
+  popts.residues = 40;
+  const auto protein = md::build_protein(71, popts);
+  const auto lpc = md::build_lpc(protein, mol, pose.best_coords);
+
+  fe::EsmacsConfig cfg = fe::cg_config(0.5);
+  cfg.replicas = 3;
+  const auto res = fe::run_esmacs(
+      lpc, chem::compute_descriptors(mol).rotatable_bonds, cfg, 5);
+  EXPECT_GT(res.within_replica_error, 0.0);
+  EXPECT_TRUE(std::isfinite(res.within_replica_error));
+  // Between-replica and within-replica errors are the same scale here
+  // (well-equilibrated small system): both should be O(0.1-10) kcal/mol.
+  EXPECT_LT(res.within_replica_error, 50.0);
 }

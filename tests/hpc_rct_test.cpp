@@ -1,21 +1,30 @@
 // HPC substrate + RCT infrastructure tests: DES determinism, cluster
 // placement/queueing/utilization, flop accounting, both execution backends,
-// and EnTK pipelines with adaptivity (RAPTOR lives in raptor_test.cpp).
+// pilot walltime, EnTK pipelines with adaptivity and retries, and the
+// session profiler (RAPTOR lives in raptor_test.cpp).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 
 #include "impeccable/hpc/cluster.hpp"
 #include "impeccable/hpc/des.hpp"
 #include "impeccable/hpc/flops.hpp"
 #include "impeccable/hpc/machine.hpp"
+#include "impeccable/obs/recorder.hpp"
 #include "impeccable/rct/backend.hpp"
 #include "impeccable/rct/entk.hpp"
+#include "impeccable/rct/profiler.hpp"
+
+#include "test_support.hpp"
 
 namespace hpc = impeccable::hpc;
 namespace rct = impeccable::rct;
+namespace obs = impeccable::obs;
 
 // ---------------------------------------------------------------- Simulator
 
@@ -248,19 +257,6 @@ TEST(LocalBackend, ReportsExceptionsAsFailures) {
 
 // ---------------------------------------------------------------- EnTK
 
-namespace {
-
-rct::TaskDescription sim_task(const std::string& name, double duration,
-                              int gpus = 1) {
-  rct::TaskDescription t;
-  t.name = name;
-  t.gpus = gpus;
-  t.duration = duration;
-  return t;
-}
-
-}  // namespace
-
 TEST(Entk, StagesRunSequentiallyTasksConcurrently) {
   rct::SimBackend backend(hpc::test_machine(2));
   rct::AppManager mgr(backend, {.stage_transition_overhead = 1.0});
@@ -372,4 +368,305 @@ TEST(Entk, WorksOnLocalBackendWithRealPayloads) {
   mgr.run_graph(std::move(g));
   // Stage barrier: the check task observed all six stage-1 tasks done.
   EXPECT_EQ(stage2.load(), 6);
+}
+
+TEST(DesEdge, ProcessedCounterAndRunUntilResume) {
+  hpc::Simulator sim;
+  int hits = 0;
+  for (int i = 1; i <= 5; ++i)
+    sim.schedule_at(i, [&] { ++hits; });
+  sim.run_until(2.5);
+  EXPECT_EQ(hits, 2);
+  EXPECT_EQ(sim.processed(), 2u);
+  sim.run();
+  EXPECT_EQ(hits, 5);
+  EXPECT_EQ(sim.processed(), 5u);
+}
+
+TEST(MiscMachine, SpecsExposeTotals) {
+  const auto s = hpc::summit(10);
+  EXPECT_EQ(s.total_gpus(), 60);
+  EXPECT_EQ(s.total_cores(), 420);
+  const auto f = hpc::frontera(3);
+  EXPECT_EQ(f.total_gpus(), 0);
+  EXPECT_EQ(f.total_cores(), 168);
+}
+
+// ------------------------------------------------------------ pilot walltime
+
+TEST(PilotWalltime, LongTaskDiesAtBoundaryAndRetrySucceedsAfterSplit) {
+  rct::SimBackendOptions sopts;
+  sopts.pilot_walltime = 10.0;
+  sopts.task_overhead = 0.0;
+  rct::SimBackend backend(hpc::test_machine(1), sopts);
+
+  rct::TaskDescription t;
+  t.name = "long";
+  t.gpus = 1;
+  t.duration = 25.0;  // spans three allocations
+  std::vector<rct::TaskResult> results;
+  backend.submit(t, [&](const rct::TaskResult& r) { results.push_back(r); });
+  backend.drain();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_FALSE(results[0].ok);
+  EXPECT_EQ(results[0].error, "pilot walltime");
+  EXPECT_NEAR(results[0].end_time, 10.0, 1e-9);
+  EXPECT_GE(backend.pilot_generation(), 2);
+}
+
+TEST(PilotWalltime, ShortTasksSurviveAcrossGenerations) {
+  rct::SimBackendOptions sopts;
+  sopts.pilot_walltime = 20.0;
+  sopts.task_overhead = 0.0;
+  rct::SimBackend backend(hpc::test_machine(1), sopts);
+
+  // 12 tasks x 5 s on 6 GPUs: two waves fit in the first pilot; later
+  // submissions land in the second.
+  int ok = 0, killed = 0;
+  for (int i = 0; i < 30; ++i) {
+    rct::TaskDescription t;
+    t.gpus = 1;
+    t.duration = 5.0;
+    backend.submit(t, [&](const rct::TaskResult& r) {
+      if (r.ok) ++ok;
+      else ++killed;
+    });
+  }
+  backend.drain();
+  EXPECT_EQ(ok + killed, 30);
+  EXPECT_GT(ok, 20);  // most tasks fit within boundaries
+}
+
+TEST(PilotWalltime, AppManagerRetriesAcrossPilots) {
+  // A task whose duration fits a pilot but that starts mid-allocation gets
+  // killed once and then succeeds in the next pilot via EnTK retry.
+  rct::SimBackendOptions sopts;
+  sopts.pilot_walltime = 10.0;
+  sopts.task_overhead = 0.0;
+  rct::SimBackend backend(hpc::test_machine(1), sopts);
+  rct::AppManagerOptions mopts;
+  mopts.max_retries = 3;
+  mopts.stage_transition_overhead = 0.0;
+  rct::AppManager mgr(backend, mopts);
+
+  rct::TaskDescription blocker;  // occupies the pilot for 6 s first
+  blocker.name = "blocker";
+  blocker.gpus = 6;
+  blocker.whole_nodes = 1;
+  blocker.duration = 6.0;
+  rct::TaskDescription work;  // 8 s: dies at t=10, succeeds on retry
+  work.name = "work";
+  work.gpus = 1;
+  work.duration = 8.0;
+  rct::StageGraph g;
+  const auto s1 =
+      g.add({.name = "s1", .pipeline = "walltime", .tasks = {blocker}});
+  g.add({.name = "s2", .pipeline = "walltime", .tasks = {work}}, {s1});
+
+  const auto report = mgr.run_graph(std::move(g));
+  ASSERT_EQ(report.results.size(), 2u);
+  for (const auto& r : report.results)
+    EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
+  EXPECT_EQ(report.retries, 1u);
+}
+
+// -------------------------------------------------------------- EnTK retries
+
+TEST(MiscEntk, MakespanAndEmptyPipelines) {
+  rct::SimBackend backend(hpc::test_machine(1));
+  rct::AppManager mgr(backend);
+  // An empty graph and a graph of one task-less node both complete trivially.
+  EXPECT_TRUE(mgr.run_graph({}).results.empty());
+  rct::StageGraph g;
+  g.add({.name = "nothing", .pipeline = "empty"});
+  const auto report = mgr.run_graph(std::move(g));
+  EXPECT_TRUE(report.results.empty());
+  EXPECT_EQ(report.failed(), 0u);
+}
+
+TEST(MiscEntk, TaskStateNames) {
+  EXPECT_STREQ(rct::to_string(rct::TaskState::New), "NEW");
+  EXPECT_STREQ(rct::to_string(rct::TaskState::Done), "DONE");
+  EXPECT_STREQ(rct::to_string(rct::TaskState::Failed), "FAILED");
+}
+
+TEST(EntkRetries, FlakyTaskEventuallySucceeds) {
+  rct::LocalBackend backend(2);
+  rct::AppManagerOptions opts;
+  opts.max_retries = 3;
+  rct::AppManager mgr(backend, opts);
+
+  std::atomic<int> attempts{0};
+  rct::TaskDescription t;
+  t.name = "flaky";
+  t.payload = [&] {
+    if (attempts.fetch_add(1) < 2) throw std::runtime_error("transient");
+  };
+  rct::StageGraph g;
+  g.add({.name = "s", .pipeline = "flaky", .tasks = {t}});
+  const auto report = mgr.run_graph(std::move(g));
+  ASSERT_EQ(report.results.size(), 1u);
+  EXPECT_TRUE(report.results[0].ok);
+  EXPECT_EQ(attempts.load(), 3);
+  EXPECT_EQ(report.retries, 2u);
+  EXPECT_EQ(report.failed(), 0u);
+}
+
+TEST(EntkRetries, PermanentFailureIsRecordedAfterBudget) {
+  rct::LocalBackend backend(2);
+  rct::AppManagerOptions opts;
+  opts.max_retries = 2;
+  rct::AppManager mgr(backend, opts);
+
+  std::atomic<int> attempts{0};
+  rct::TaskDescription t;
+  t.name = "dead";
+  t.payload = [&] {
+    attempts.fetch_add(1);
+    throw std::runtime_error("permanent");
+  };
+  rct::StageGraph g;
+  g.add({.name = "s", .pipeline = "dead", .tasks = {t}});
+  const auto report = mgr.run_graph(std::move(g));
+  ASSERT_EQ(report.results.size(), 1u);
+  EXPECT_FALSE(report.results[0].ok);
+  EXPECT_EQ(attempts.load(), 3);  // 1 + 2 retries
+  EXPECT_EQ(report.failed(), 1u);
+}
+
+TEST(EntkRetries, NoRetriesByDefault) {
+  rct::LocalBackend backend(1);
+  rct::AppManager mgr(backend);
+  std::atomic<int> attempts{0};
+  rct::TaskDescription t;
+  t.payload = [&] {
+    attempts.fetch_add(1);
+    throw std::runtime_error("x");
+  };
+  rct::StageGraph g;
+  g.add({.name = "s", .pipeline = "d", .tasks = {t}});
+  mgr.run_graph(std::move(g));
+  EXPECT_EQ(attempts.load(), 1);
+}
+
+// ------------------------------------------------------------------ profiler
+
+TEST(Profiler, RecordsSubmitStartEnd) {
+  obs::Recorder rec;
+  rct::SimBackend backend(hpc::test_machine(1));
+  backend.set_recorder(&rec);
+
+  for (int i = 0; i < 8; ++i) {  // 8 tasks on 6 GPUs -> 2 must queue
+    rct::TaskDescription t;
+    t.name = "t";
+    t.name += std::to_string(i);
+    t.gpus = 1;
+    t.duration = 5.0;
+    backend.submit(t, [](const rct::TaskResult&) {});
+  }
+  backend.drain();
+
+  const auto prof = rct::SessionProfile::from_trace(rec.snapshot());
+  ASSERT_EQ(prof.tasks.size(), 8u);
+  for (const auto& r : prof.tasks) {
+    EXPECT_GE(r.start_time, r.submit_time);
+    EXPECT_GT(r.end_time, r.start_time);
+    EXPECT_TRUE(r.ok);
+  }
+  // Two tasks waited for a slot.
+  int waited = 0;
+  for (const auto& r : prof.tasks)
+    if (r.queue_wait() > 1.0) ++waited;
+  EXPECT_EQ(waited, 2);
+  EXPECT_EQ(prof.peak_concurrency(), 6);
+  EXPECT_NEAR(prof.makespan(), 10.1, 0.2);
+}
+
+TEST(Profiler, ConcurrencyTimelineAndIdleFraction) {
+  obs::Recorder rec;
+  rct::SimBackend backend(hpc::test_machine(2));
+  backend.set_recorder(&rec);
+  rct::AppManager mgr(backend, {.stage_transition_overhead = 10.0});
+
+  rct::TaskDescription a;
+  a.name = "a";
+  a.gpus = 1;
+  a.duration = 10.0;
+  rct::TaskDescription b = a;
+  b.name = "b";
+  rct::StageGraph g;
+  const auto s1 = g.add({.name = "s1", .pipeline = "two-stage", .tasks = {a}});
+  g.add({.name = "s2", .pipeline = "two-stage", .tasks = {b}}, {s1});
+  mgr.run_graph(std::move(g));
+
+  const auto prof = rct::SessionProfile::from_trace(rec.snapshot());
+  ASSERT_EQ(prof.tasks.size(), 2u);
+  // The 10 s stage gap shows up as idle time.
+  EXPECT_GT(prof.idle_fraction(), 0.2);
+  const auto timeline = prof.concurrency_timeline(30);
+  EXPECT_EQ(timeline.size(), 30u);
+  const int peak = *std::max_element(timeline.begin(), timeline.end());
+  EXPECT_EQ(peak, 1);
+  // Some middle bucket must be empty (the transition).
+  EXPECT_TRUE(std::find(timeline.begin() + 5, timeline.end() - 5, 0) !=
+              timeline.end() - 5);
+}
+
+TEST(Profiler, WorksOnLocalBackend) {
+  obs::Recorder rec;
+  rct::LocalBackend backend(2);
+  backend.set_recorder(&rec);
+  rct::TaskDescription t;
+  t.name = "work";
+  t.payload = [] {
+    volatile double acc = 0;
+    for (int i = 0; i < 100000; ++i) acc = acc + i;
+  };
+  backend.submit(t, [](const rct::TaskResult&) {});
+  backend.drain();
+  const auto prof = rct::SessionProfile::from_trace(rec.snapshot());
+  ASSERT_EQ(prof.tasks.size(), 1u);
+  EXPECT_GE(prof.tasks[0].runtime(), 0.0);
+  EXPECT_GE(prof.mean_queue_wait(), 0.0);
+}
+
+TEST(Profiler, EmptyProfileIsSafe) {
+  obs::Recorder rec;
+  rct::SimBackend backend(hpc::test_machine(1));
+  backend.set_recorder(&rec);
+  const auto prof = rct::SessionProfile::from_trace(rec.snapshot());
+  EXPECT_EQ(prof.makespan(), 0.0);
+  EXPECT_EQ(prof.peak_concurrency(), 0);
+  EXPECT_EQ(prof.idle_fraction(), 0.0);
+  EXPECT_TRUE(prof.concurrency_timeline(5) ==
+              std::vector<int>({0, 0, 0, 0, 0}));
+}
+
+TEST(ProfileCsv, WritesOneRowPerTask) {
+  obs::Recorder rec;
+  rct::SimBackend backend(hpc::test_machine(1));
+  backend.set_recorder(&rec);
+  for (int i = 0; i < 3; ++i) {
+    rct::TaskDescription t;
+    t.name = "t";
+    t.name += std::to_string(i);
+    t.gpus = 1;
+    t.duration = 2.0;
+    backend.submit(t, [](const rct::TaskResult&) {});
+  }
+  backend.drain();
+
+  const auto path = std::filesystem::temp_directory_path() / "imp_profile.csv";
+  rct::SessionProfile::from_trace(rec.snapshot()).write_csv(path.string());
+  std::ifstream f(path);
+  std::string line;
+  int rows = 0;
+  std::getline(f, line);
+  EXPECT_EQ(line,
+            "name,submit,start,end,queue_wait,runtime,ok,cpus,gpus,"
+            "whole_nodes,error");
+  while (std::getline(f, line))
+    if (!line.empty()) ++rows;
+  EXPECT_EQ(rows, 3);
+  std::filesystem::remove(path);
 }

@@ -23,6 +23,9 @@
 #include "impeccable/common/rng.hpp"
 #include "impeccable/common/thread_pool.hpp"
 #include "impeccable/ml/streaming.hpp"
+#include "impeccable/ml/surrogate.hpp"
+
+#include "test_support.hpp"
 
 namespace chem = impeccable::chem;
 namespace common = impeccable::common;
@@ -31,10 +34,6 @@ namespace fe = impeccable::fe;
 namespace ml = impeccable::ml;
 
 namespace {
-
-std::filesystem::path tmp_dir(const std::string& name) {
-  return std::filesystem::temp_directory_path() / name;
-}
 
 /// "LIG-<i>" and a 2..6-carbon chain: the round-trip test's records.
 std::string lig_id(std::size_t i) {
@@ -105,7 +104,7 @@ core::ExecConfig slim_exec() {
 // Store format
 
 TEST(LigandStore, WriterReaderRoundTrip) {
-  const auto dir = tmp_dir("imp_store_roundtrip");
+  const auto dir = tmp_path("imp_store_roundtrip");
   std::filesystem::remove_all(dir);
   {
     chem::StoreWriterOptions opts;
@@ -131,7 +130,7 @@ TEST(LigandStore, WriterReaderRoundTrip) {
 }
 
 TEST(LigandStore, EmptyDirectoryYieldsEmptyStore) {
-  const auto dir = tmp_dir("imp_store_empty");
+  const auto dir = tmp_path("imp_store_empty");
   std::filesystem::remove_all(dir);
   auto store = chem::LigandStore::open(dir.string());
   EXPECT_EQ(store.size(), 0u);
@@ -139,7 +138,7 @@ TEST(LigandStore, EmptyDirectoryYieldsEmptyStore) {
 }
 
 TEST(LigandStore, WriterDedupDropsDuplicateDigests) {
-  const auto dir = tmp_dir("imp_store_dedup");
+  const auto dir = tmp_path("imp_store_dedup");
   std::filesystem::remove_all(dir);
   chem::StoreWriterOptions opts;
   opts.dedup = true;
@@ -160,7 +159,7 @@ TEST(LigandStore, WriterDedupDropsDuplicateDigests) {
 // Corruption resilience: damaged shards are skipped and counted, never
 // fatal, and intact shards keep serving.
 TEST(LigandStore, CorruptShardsAreSkippedAndCounted) {
-  const auto dir = tmp_dir("imp_store_corrupt");
+  const auto dir = tmp_path("imp_store_corrupt");
   std::filesystem::remove_all(dir);
   {
     chem::StoreWriterOptions opts;
@@ -204,7 +203,7 @@ TEST(LigandStore, CorruptShardsAreSkippedAndCounted) {
 // Sources
 
 TEST(LigandSource, MmapMatchesInMemoryBitwise) {
-  const auto dir = tmp_dir("imp_source_equal");
+  const auto dir = tmp_path("imp_source_equal");
   std::filesystem::remove_all(dir);
   const std::size_t n = 40;
   chem::SourceOptions sopts;
@@ -242,7 +241,7 @@ TEST(LigandSource, MmapMatchesInMemoryBitwise) {
 }
 
 TEST(LigandSource, ImagesBitwiseAcrossComputePoolSizes) {
-  const auto dir = tmp_dir("imp_source_pools");
+  const auto dir = tmp_path("imp_source_pools");
   std::filesystem::remove_all(dir);
   const std::size_t n = 48;
   chem::SourceOptions sopts;
@@ -380,7 +379,7 @@ TEST(StreamingTopK, MatchesFullSortWithDeterministicTies) {
 }
 
 TEST(ScoreSpill, FileBackedMatchesInMemory) {
-  const auto path = tmp_dir("imp_spill_test.f32");
+  const auto path = tmp_path("imp_spill_test.f32");
   std::filesystem::remove_all(path);
   const std::size_t n = 1000;
   auto mem = ml::ScoreSpill::in_memory(n);
@@ -414,7 +413,7 @@ TEST(ScoreSpill, FileBackedMatchesInMemory) {
 }
 
 TEST(ScoreSpill, RangeCheckDoesNotWrapAround) {
-  const auto path = tmp_dir("imp_spill_wrap.f32");
+  const auto path = tmp_path("imp_spill_wrap.f32");
   std::filesystem::remove_all(path);
   auto mem = ml::ScoreSpill::in_memory(8);
   auto file = ml::ScoreSpill::file_backed(8, path.string());
@@ -464,7 +463,7 @@ TEST(ScoreStreaming, WindowSizeNeverChangesScores) {
 // Campaign integration
 
 TEST(LibraryBackend, ScienceFingerprintIdenticalAcrossBackends) {
-  const auto dir = tmp_dir("imp_backend_fp_store");
+  const auto dir = tmp_path("imp_backend_fp_store");
   std::filesystem::remove_all(dir);
 
   auto mmap_exec = slim_exec();
@@ -501,8 +500,8 @@ TEST(LibraryBackend, EnrichmentDenominatorIsLibrarySizeEveryIteration) {
 }
 
 TEST(LibraryBackend, CheckpointResumeThroughMmapStore) {
-  const auto dir = tmp_dir("imp_backend_resume_store");
-  const auto ckpt = tmp_dir("imp_backend_resume.csv");
+  const auto dir = tmp_path("imp_backend_resume_store");
+  const auto ckpt = tmp_path("imp_backend_resume.csv");
   std::filesystem::remove_all(dir);
   std::filesystem::remove(ckpt);
 
@@ -535,4 +534,23 @@ TEST(LibraryBackend, CheckpointResumeThroughMmapStore) {
 
   std::filesystem::remove(ckpt);
   std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------- edge cases
+
+TEST(MiscShards, RejectsZeroPerShard) {
+  EXPECT_THROW(
+      chem::LigandStoreWriter("/tmp/imp_zero", {.records_per_shard = 0}),
+      std::invalid_argument);
+}
+
+TEST(MiscShards, EmptyShardListYieldsEmptyOutput) {
+  // A store directory holding no shards scores nothing.
+  const auto dir = std::filesystem::temp_directory_path() / "imp_no_shards";
+  std::filesystem::remove_all(dir);
+  const chem::MmapSource source(chem::LigandStore::open(dir.string()));
+  const ml::SurrogateModel model;
+  ml::StreamingTopK topk(5);
+  EXPECT_EQ(ml::score_ligands(source, model, 0, 0, 8, nullptr, &topk), 0u);
+  EXPECT_EQ(topk.size(), 0u);
 }

@@ -1,23 +1,30 @@
 // MD substrate tests: force-field correctness (forces vs finite differences,
 // cell list vs brute force), integrator statistics, minimizers, system
-// builders and trajectory analysis.
+// builders, position restraints, PDB/XYZ I/O, equilibration detection
+// and trajectory analysis.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 
 #include "impeccable/chem/smiles.hpp"
+#include "impeccable/common/kabsch.hpp"
 #include "impeccable/common/stats.hpp"
 #include "impeccable/dock/engine.hpp"
 #include "impeccable/dock/receptor.hpp"
 #include "impeccable/md/analysis.hpp"
 #include "impeccable/md/forcefield.hpp"
 #include "impeccable/md/integrator.hpp"
+#include "impeccable/md/io.hpp"
 #include "impeccable/md/simulation.hpp"
 #include "impeccable/md/system.hpp"
+
+#include "test_support.hpp"
 
 namespace md = impeccable::md;
 namespace chem = impeccable::chem;
@@ -519,4 +526,200 @@ TEST(Analysis, PointCloudIsCenteredProteinOnly) {
 
 TEST(Analysis, FlopModelPositive) {
   EXPECT_GT(md::flops_per_md_step(100, 2000), md::flops_per_md_step(10, 50));
+}
+
+// ---------------------------------------------------------------- restraints
+
+TEST(Restraints, EnergyAndForcesMatchFiniteDifference) {
+  md::System sys;
+  sys.topology.beads.resize(3);
+  sys.positions = {{0, 0, 0}, {4, 0, 0}, {0, 4, 0}};
+
+  md::ForceFieldOptions opts;
+  opts.restraint_k = 3.0;
+  opts.restraint_ref = {{0.5, 0, 0}, {4, 0.5, 0}, {0, 4, 0.5}};
+  const md::ForceField ff(sys.topology, opts);
+
+  std::vector<Vec3> forces;
+  const auto e = ff.evaluate(sys.positions, &forces);
+  EXPECT_NEAR(e.restraint, 3.0 * (0.25 + 0.25 + 0.25), 1e-9);
+
+  const double h = 1e-6;
+  for (int i = 0; i < 3; ++i) {
+    for (int axis = 0; axis < 3; ++axis) {
+      auto p1 = sys.positions, p2 = sys.positions;
+      (&p1[static_cast<std::size_t>(i)].x)[axis] -= h;
+      (&p2[static_cast<std::size_t>(i)].x)[axis] += h;
+      const double fd =
+          -(ff.evaluate(p2, nullptr).total() - ff.evaluate(p1, nullptr).total()) /
+          (2 * h);
+      EXPECT_NEAR((&forces[static_cast<std::size_t>(i)].x)[axis], fd, 1e-4);
+    }
+  }
+}
+
+TEST(Restraints, SelectionRestrainsOnlyListedBeads) {
+  md::System sys;
+  sys.topology.beads.resize(2);
+  sys.positions = {{1, 0, 0}, {5, 0, 0}};
+  md::ForceFieldOptions opts;
+  opts.restraint_k = 2.0;
+  opts.restraint_ref = {{0, 0, 0}, {0, 0, 0}};
+  opts.restrained = {0};
+  const md::ForceField ff(sys.topology, opts);
+  EXPECT_NEAR(ff.evaluate(sys.positions, nullptr).restraint, 2.0 * 1.0, 1e-9);
+}
+
+TEST(Restraints, MismatchedReferenceThrows) {
+  md::System sys;
+  sys.topology.beads.resize(2);
+  sys.positions = {{0, 0, 0}, {1, 0, 0}};
+  md::ForceFieldOptions opts;
+  opts.restraint_k = 1.0;
+  opts.restraint_ref = {{0, 0, 0}};  // wrong size
+  const md::ForceField ff(sys.topology, opts);
+  EXPECT_THROW(ff.evaluate(sys.positions, nullptr), std::invalid_argument);
+}
+
+TEST(Restraints, RestrainedEquilibrationKeepsProteinCloser) {
+  md::ProteinOptions popts;
+  popts.residues = 40;
+  const auto sys = md::build_protein(9, popts);
+
+  auto run = [&](double k) {
+    md::SimulationOptions so;
+    so.equilibration_steps = 400;
+    so.production_steps = 40;
+    so.report_interval = 40;
+    so.langevin.temperature = 380.0;
+    so.equilibration_restraint_k = k;
+    const auto res = md::run_replica(sys, so, 11);
+    // Drift of the first production frame from the start.
+    const auto sel = sys.topology.selection(md::BeadKind::Protein);
+    std::vector<Vec3> ref, cur;
+    for (int i : sel) {
+      ref.push_back(sys.positions[static_cast<std::size_t>(i)]);
+      cur.push_back(res.trajectory.frames.front()
+                        .positions[static_cast<std::size_t>(i)]);
+    }
+    return impeccable::common::rmsd_superposed(ref, cur);
+  };
+
+  const double free_drift = run(0.0);
+  const double restrained_drift = run(10.0);
+  EXPECT_LT(restrained_drift, free_drift);
+}
+
+// ------------------------------------------------------------------------ io
+
+TEST(Io, PdbHasOneRecordPerBead) {
+  md::ProteinOptions popts;
+  popts.residues = 12;
+  const auto sys = md::build_protein(3, popts);
+  const auto path = tmp_path("imp_test.pdb");
+  md::write_pdb(sys, sys.positions, path.string());
+
+  std::ifstream f(path);
+  std::string line;
+  int atoms = 0;
+  bool end_seen = false;
+  while (std::getline(f, line)) {
+    if (line.rfind("ATOM", 0) == 0 || line.rfind("HETATM", 0) == 0) ++atoms;
+    if (line.rfind("END", 0) == 0) end_seen = true;
+  }
+  EXPECT_EQ(atoms, 12);
+  EXPECT_TRUE(end_seen);
+  std::filesystem::remove(path);
+}
+
+TEST(Io, PdbRejectsMismatchedPositions) {
+  md::ProteinOptions popts;
+  popts.residues = 5;
+  const auto sys = md::build_protein(3, popts);
+  std::vector<impeccable::common::Vec3> wrong(3);
+  EXPECT_THROW(md::write_pdb(sys, wrong, tmp_path("x.pdb").string()),
+               std::invalid_argument);
+}
+
+TEST(Io, XyzRoundTripsTrajectory) {
+  md::ProteinOptions popts;
+  popts.residues = 10;
+  const auto sys = md::build_protein(5, popts);
+  md::SimulationOptions so;
+  so.equilibration_steps = 10;
+  so.production_steps = 60;
+  so.report_interval = 20;
+  const auto res = md::run_replica(sys, so, 2);
+
+  const auto path = tmp_path("imp_test.xyz");
+  md::write_xyz(res.trajectory, path.string());
+  const auto back = md::read_xyz(path.string());
+  ASSERT_EQ(back.size(), res.trajectory.size());
+  for (std::size_t fidx = 0; fidx < back.size(); ++fidx) {
+    ASSERT_EQ(back.frames[fidx].positions.size(),
+              res.trajectory.frames[fidx].positions.size());
+    for (std::size_t i = 0; i < back.frames[fidx].positions.size(); ++i)
+      EXPECT_NEAR(impeccable::common::distance(
+                      back.frames[fidx].positions[i],
+                      res.trajectory.frames[fidx].positions[i]),
+                  0.0, 1e-5);
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Io, XyzRejectsGarbage) {
+  const auto path = tmp_path("imp_bad.xyz");
+  {
+    std::ofstream f(path);
+    f << "not a count\ncomment\n";
+  }
+  EXPECT_THROW(md::read_xyz(path.string()), std::runtime_error);
+  {
+    std::ofstream f(path);
+    f << "3\ncomment\nC 1 2 3\n";  // truncated frame
+  }
+  EXPECT_THROW(md::read_xyz(path.string()), std::runtime_error);
+  std::filesystem::remove(path);
+  EXPECT_THROW(md::read_xyz("/nonexistent/file.xyz"), std::runtime_error);
+}
+
+// ------------------------------------------------------------- equilibration
+
+TEST(Equilibration, SkipsInitialTransient) {
+  // Exponential relaxation to a plateau plus noise: the detected production
+  // start must skip a solid part of the transient.
+  Rng rng(2);
+  std::vector<double> series;
+  for (int t = 0; t < 512; ++t)
+    series.push_back(10.0 * std::exp(-t / 40.0) + rng.gauss(0, 0.3));
+  const std::size_t t0 = md::detect_equilibration(series);
+  EXPECT_GE(t0, 32u);   // most of the decay (3 time constants ~ 120) skipped
+  EXPECT_LT(t0, 256u);  // but not the whole series
+}
+
+TEST(Equilibration, StationarySeriesKeepsMostData) {
+  Rng rng(3);
+  std::vector<double> series;
+  for (int t = 0; t < 512; ++t) series.push_back(rng.gauss(0, 1));
+  const std::size_t t0 = md::detect_equilibration(series);
+  EXPECT_LT(t0, 128u);  // little reason to discard i.i.d. data
+}
+
+TEST(Equilibration, ShortSeriesAreSafe) {
+  EXPECT_EQ(md::detect_equilibration({}), 0u);
+  EXPECT_EQ(md::detect_equilibration({1, 2, 3}), 0u);
+}
+
+TEST(AnalysisEdge, RmsdSeriesRejectsEmptySelection) {
+  impeccable::md::Trajectory traj;
+  traj.frames.emplace_back();
+  traj.frames.back().positions = {{0, 0, 0}};
+  EXPECT_THROW(impeccable::md::rmsd_series(traj, {}), std::invalid_argument);
+}
+
+TEST(AnalysisEdge, SuperposeSinglePoint) {
+  const std::vector<Vec3> a{{1, 2, 3}};
+  const std::vector<Vec3> b{{-4, 0, 9}};
+  // One point: translation alone aligns exactly.
+  EXPECT_NEAR(impeccable::common::rmsd_superposed(a, b), 0.0, 1e-12);
 }

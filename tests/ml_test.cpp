@@ -1,11 +1,15 @@
 // ML substrate tests: tensor ops, layer gradients vs finite differences,
-// optimizers, losses, the ML1 surrogate, RES, LOF, t-SNE and the 3D-AAE.
+// optimizers, losses, the ML1 surrogate, RES and the RES budget advisor,
+// LOF, t-SNE, the 3D-AAE, and weight save/load for both models.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 
 #include "impeccable/chem/depiction.hpp"
+#include "impeccable/chem/library.hpp"
 #include "impeccable/chem/smiles.hpp"
 #include "impeccable/ml/aae.hpp"
 #include "impeccable/ml/layers.hpp"
@@ -15,6 +19,8 @@
 #include "impeccable/ml/res.hpp"
 #include "impeccable/ml/surrogate.hpp"
 #include "impeccable/ml/tsne.hpp"
+
+#include "test_support.hpp"
 
 namespace ml = impeccable::ml;
 namespace chem = impeccable::chem;
@@ -613,4 +619,132 @@ TEST(Aae, RejectsMismatchedCloudSize) {
 TEST(Aae, FlopModelScalesWithPoints) {
   ml::Aae3d small(10, {}), big(100, {});
   EXPECT_GT(big.flops_per_sample(), small.flops_per_sample());
+}
+
+// ---------------------------------------------------------------- RES budget
+
+TEST(ResBudget, PerfectPredictorNeedsExactlyTheTopSlice) {
+  std::vector<double> v(1000);
+  for (int i = 0; i < 1000; ++i) v[static_cast<std::size_t>(i)] = i;
+  const ml::EnrichmentSurface res(v, v);
+  // To cover 100% of the top 1% a perfect predictor screens exactly 1%.
+  EXPECT_NEAR(res.budget_for(0.01, 1.0), 0.01, 1e-9);
+  EXPECT_NEAR(res.budget_for(0.10, 0.5), 0.05, 1e-9);
+}
+
+TEST(ResBudget, NoisierPredictorNeedsBiggerBudget) {
+  Rng rng(4);
+  std::vector<double> truth, good, bad;
+  for (int i = 0; i < 4000; ++i) {
+    const double t = rng.uniform();
+    truth.push_back(t);
+    good.push_back(t + rng.gauss(0, 0.05));
+    bad.push_back(t + rng.gauss(0, 0.8));
+  }
+  const ml::EnrichmentSurface res_good(good, truth);
+  const ml::EnrichmentSurface res_bad(bad, truth);
+  EXPECT_LT(res_good.budget_for(0.02, 0.8), res_bad.budget_for(0.02, 0.8));
+}
+
+TEST(ResBudget, BudgetIsConsistentWithCoverage) {
+  Rng rng(5);
+  std::vector<double> truth, pred;
+  for (int i = 0; i < 2000; ++i) {
+    const double t = rng.uniform();
+    truth.push_back(t);
+    pred.push_back(t + rng.gauss(0, 0.3));
+  }
+  const ml::EnrichmentSurface res(pred, truth);
+  const double budget = res.budget_for(0.05, 0.6);
+  EXPECT_GE(res.coverage(budget, 0.05), 0.6 - 1e-9);
+}
+
+// ------------------------------------------------------------------- weights
+
+TEST(Weights, SaveLoadReproducesPredictions) {
+  std::vector<chem::Image> images;
+  std::vector<float> labels;
+  const auto lib = chem::generate_library("W", 24, 5);
+  for (std::size_t i = 0; i < lib.size(); ++i) {
+    images.push_back(chem::depict(chem::parse_smiles(lib.entries[i].smiles)));
+    labels.push_back(i % 2 ? 1.0f : 0.0f);
+  }
+  ml::SurrogateOptions opts;
+  opts.epochs = 2;
+  ml::SurrogateModel trained(opts);
+  trained.train(images, labels);
+
+  const auto path = tmp_path("imp_weights.bin");
+  trained.save_weights(path.string());
+
+  // A fresh model with a different seed differs before loading...
+  ml::SurrogateOptions opts2 = opts;
+  opts2.seed = 999;
+  ml::SurrogateModel fresh(opts2);
+  const float before = fresh.predict(images[0]);
+  // ...and is identical after.
+  fresh.load_weights(path.string());
+  for (int k = 0; k < 5; ++k)
+    EXPECT_FLOAT_EQ(fresh.predict(images[static_cast<std::size_t>(k)]),
+                    trained.predict(images[static_cast<std::size_t>(k)]));
+  EXPECT_NE(before, fresh.predict(images[0]));
+  std::filesystem::remove(path);
+}
+
+TEST(Weights, LoadRejectsArchitectureMismatch) {
+  ml::SurrogateOptions small;
+  small.base_filters = 4;
+  small.epochs = 1;
+  ml::SurrogateModel a(small);
+  const auto path = tmp_path("imp_weights_mismatch.bin");
+  a.save_weights(path.string());
+
+  ml::SurrogateOptions big = small;
+  big.base_filters = 8;
+  ml::SurrogateModel b(big);
+  EXPECT_THROW(b.load_weights(path.string()), std::runtime_error);
+  std::filesystem::remove(path);
+  EXPECT_THROW(b.load_weights("/nonexistent/w.bin"), std::runtime_error);
+}
+
+TEST(Weights, LoadRejectsGarbageFile) {
+  const auto path = tmp_path("imp_weights_bad.bin");
+  {
+    std::ofstream f(path, std::ios::binary);
+    f << "garbage";
+  }
+  ml::SurrogateModel m;
+  EXPECT_THROW(m.load_weights(path.string()), std::runtime_error);
+  std::filesystem::remove(path);
+}
+
+TEST(AaeWeights, SaveLoadReproducesEmbeddings) {
+  std::vector<std::vector<Vec3>> clouds;
+  impeccable::common::Rng rng(3);
+  for (int c = 0; c < 12; ++c) {
+    std::vector<Vec3> cloud;
+    for (int p = 0; p < 8; ++p)
+      cloud.push_back({rng.gauss(), rng.gauss(), rng.gauss()});
+    clouds.push_back(std::move(cloud));
+  }
+  ml::AaeOptions opts;
+  opts.epochs = 2;
+  opts.batch_size = 6;
+  ml::Aae3d trained(8, opts);
+  trained.train(clouds);
+
+  const auto prefix =
+      (std::filesystem::temp_directory_path() / "imp_aae").string();
+  trained.save_weights(prefix);
+
+  ml::AaeOptions opts2 = opts;
+  opts2.seed = 4242;
+  ml::Aae3d fresh(8, opts2);
+  fresh.load_weights(prefix);
+  const auto a = trained.embed(clouds[0]);
+  const auto b = fresh.embed(clouds[0]);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
+  for (const char* suffix : {".enc", ".dec", ".critic"})
+    std::filesystem::remove(prefix + suffix);
 }

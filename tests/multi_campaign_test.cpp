@@ -16,6 +16,8 @@
 #include "impeccable/rct/backend.hpp"
 #include "impeccable/rct/entk.hpp"
 
+#include "test_support.hpp"
+
 namespace core = impeccable::core;
 namespace fe = impeccable::fe;
 namespace hpc = impeccable::hpc;
@@ -62,14 +64,6 @@ std::string standalone_fingerprint(core::Target target,
   rct::SimBackend sim(hpc::test_machine(4));
   core::Campaign campaign(std::move(target), sci, small_exec());
   return campaign.run(sim).science_fingerprint();
-}
-
-rct::TaskDescription dock_task(const std::string& name, double duration) {
-  rct::TaskDescription t;
-  t.name = name;
-  t.gpus = 1;
-  t.duration = duration;
-  return t;
 }
 
 }  // namespace
@@ -131,7 +125,7 @@ TEST(MultiCampaign, FingerprintInvariantToPolicyOrderAndCohort) {
 
 TEST(MultiCampaign, LocalBackendMatchesSimBackend) {
   // The shared run is deterministic on real threads too (this is the test
-  // the tsan-multi lane leans on).
+  // the TSan lane leans on for the multi label).
   const auto sci_a = small_science(2020);
   const auto sci_b = small_science(4040);
 
@@ -211,7 +205,7 @@ TEST(GraphRunReport, RecordsNodeTimingsAndBacksDeprecatedAccessors) {
     rct::StageNode n;
     n.name = name;
     n.pipeline = "p";
-    n.tasks.push_back(dock_task(name + "-t", dur));
+    n.tasks.push_back(sim_task(name + "-t", dur));
     return n;
   };
   const auto a = g.add(node("a", 1.0));

@@ -28,6 +28,8 @@
 #include "impeccable/rct/profiler.hpp"
 #include "impeccable/rct/raptor.hpp"
 
+#include "test_support.hpp"
+
 namespace impeccable {
 namespace {
 
@@ -205,10 +207,6 @@ class JsonParser {
   std::string_view s_;
   std::size_t at_ = 0;
 };
-
-std::filesystem::path tmp(const char* name) {
-  return std::filesystem::temp_directory_path() / name;
-}
 
 // ------------------------------------------------------------- JSON writer
 
@@ -565,7 +563,7 @@ TEST(ObsBackend, WalltimeKillIsVisibleInProfile) {
   EXPECT_DOUBLE_EQ(rec.end_time, 5.0);  // killed at the boundary
 
   // The failure survives the CSV export too.
-  const auto path = tmp("imp_obs_kill.csv");
+  const auto path = tmp_path("imp_obs_kill.csv");
   profile.write_csv(path.string());
   std::ifstream f(path);
   std::string header, row;
@@ -706,7 +704,7 @@ TEST(ObsCampaign, TracedCampaignCoversEveryLayer) {
 
   // Export the Chrome trace and parse it back.
   const obs::Trace trace = recorder.take();
-  const auto path = tmp("imp_obs_campaign_trace.json");
+  const auto path = tmp_path("imp_obs_campaign_trace.json");
   obs::write_chrome_trace(trace, path.string());
   std::ifstream f(path);
   std::stringstream buf;

@@ -27,6 +27,8 @@
 #include "impeccable/md/system.hpp"
 #include "impeccable/ml/res.hpp"
 
+#include "test_support.hpp"
+
 namespace chem = impeccable::chem;
 namespace dock = impeccable::dock;
 namespace md = impeccable::md;
@@ -39,11 +41,7 @@ using impeccable::common::Vec3;
 class DockGradientProperty : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(DockGradientProperty, AnalyticMatchesFiniteDifference) {
-  static const auto grid = [] {
-    dock::GridOptions gopts;
-    gopts.nodes = 21;
-    return dock::compute_grid(dock::Receptor::synthesize("P", 8), gopts);
-  }();
+  static const auto grid = receptor_grid("P", 8, 21);
   const auto mol = chem::parse_smiles(GetParam());
   const dock::Ligand lig(mol, 5);
   const dock::ScoringFunction score(*grid, lig);

@@ -18,20 +18,10 @@
 #include "impeccable/rct/entk.hpp"
 #include "impeccable/rct/raptor.hpp"
 
+#include "test_support.hpp"
+
 namespace hpc = impeccable::hpc;
 namespace rct = impeccable::rct;
-
-namespace {
-
-rct::TaskDescription dock_task(const std::string& name, double duration) {
-  rct::TaskDescription t;
-  t.name = name;
-  t.gpus = 1;
-  t.duration = duration;
-  return t;
-}
-
-}  // namespace
 
 // -------------------------------------------------------------- run_raptor
 
@@ -232,11 +222,11 @@ TEST(RaptorBackend, BulksRoutedTasksAndFansOutResults) {
 
   std::vector<rct::TaskResult> results;
   for (int i = 0; i < 10; ++i)
-    raptor.submit(dock_task("dock-" + std::to_string(i), 0.5),
+    raptor.submit(sim_task("dock-" + std::to_string(i), 0.5),
                   [&results](const rct::TaskResult& r) { results.push_back(r); });
   // Unrouted names pass straight through.
   bool ml_done = false;
-  raptor.submit(dock_task("ml1-train", 1.0),
+  raptor.submit(sim_task("ml1-train", 1.0),
                 [&ml_done](const rct::TaskResult& r) { ml_done = r.ok; });
   raptor.drain();
 
@@ -263,11 +253,11 @@ TEST(RaptorBackend, MemberFailureFailsOnlyThatMember) {
 
   std::vector<rct::TaskResult> results;
   auto record = [&results](const rct::TaskResult& r) { results.push_back(r); };
-  auto failing = dock_task("dock-bad", 0.2);
+  auto failing = sim_task("dock-bad", 0.2);
   failing.payload = [] { throw std::runtime_error("pose rejected"); };
-  raptor.submit(dock_task("dock-a", 0.2), record);
+  raptor.submit(sim_task("dock-a", 0.2), record);
   raptor.submit(std::move(failing), record);
-  raptor.submit(dock_task("dock-b", 0.2), record);
+  raptor.submit(sim_task("dock-b", 0.2), record);
   raptor.drain();
 
   ASSERT_EQ(results.size(), 3u);
@@ -298,8 +288,8 @@ TEST(RaptorBackend, RetriedMembersReenterBulking) {
   rct::StageNode n;
   n.name = "s1";
   n.pipeline = "iteration-0";
-  for (int i = 0; i < 3; ++i) n.tasks.push_back(dock_task("dock-" + std::to_string(i), 0.3));
-  rct::TaskDescription flaky = dock_task("dock-flaky", 0.3);
+  for (int i = 0; i < 3; ++i) n.tasks.push_back(sim_task("dock-" + std::to_string(i), 0.3));
+  rct::TaskDescription flaky = sim_task("dock-flaky", 0.3);
   flaky.payload = [flaky_calls] {
     if (flaky_calls->fetch_add(1) == 0) throw std::runtime_error("transient");
   };
@@ -326,7 +316,7 @@ TEST(RaptorBackend, WorkerFailuresRequeueBulks) {
 
   std::size_t done = 0;
   for (int i = 0; i < 16; ++i)
-    raptor.submit(dock_task("dock-" + std::to_string(i), 0.4),
+    raptor.submit(sim_task("dock-" + std::to_string(i), 0.4),
                   [&done](const rct::TaskResult& r) { done += r.ok ? 1 : 0; });
   raptor.drain();
 
@@ -348,7 +338,7 @@ TEST(RaptorBackend, RunsRealPayloadsOnLocalBackend) {
   for (int i = 0; i < 41; ++i) {
     // 40 overlay requests (10 bulks, more than the 4-bulk prefetch window)
     // plus one pass-through task.
-    auto t = dock_task(i < 40 ? "dock-" + std::to_string(i) : "ml1-train", 0.0);
+    auto t = sim_task(i < 40 ? "dock-" + std::to_string(i) : "ml1-train", 0.0);
     t.payload = [&runs, i] { runs[static_cast<std::size_t>(i)].fetch_add(1); };
     raptor.submit(std::move(t), [&results, &ok](const rct::TaskResult& r) {
       ok.fetch_add(r.ok ? 1 : 0);

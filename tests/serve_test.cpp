@@ -1,6 +1,6 @@
 // Serving layer: sharded score cache, micro-batching inference server,
 // admission control, and the synthetic load generators. The whole file runs
-// under the tsan-serve preset (LABELS serve), so every test doubles as a
+// under the tsan-concurrency preset (LABELS serve), so every test doubles as a
 // race detector for the concurrent predict path.
 
 #include <gtest/gtest.h>
@@ -181,7 +181,7 @@ TEST(ScoreCache, ConcurrentMixedTrafficKeepsCountersConsistent) {
 // ---------------------------------------------------------------- predict race
 
 TEST(SurrogateConcurrency, ParallelPredictBatchIsRaceFreeAndDeterministic) {
-  // The serving layer's core assumption (and the tsan-serve preset's main
+  // The serving layer's core assumption (and the TSan lane's main
   // quarry): concurrent predict_batch calls on one const model neither race
   // nor perturb each other's outputs.
   const auto model = small_model();
