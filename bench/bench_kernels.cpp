@@ -1,5 +1,5 @@
 // Execution-engine benchmarks: pool submit/parallel_for throughput, blocked
-// vs naive GEMM GFLOP/s, batched Dense::forward and parallel per-ligand
+// vs naive GEMM GFLOP/s (square and the surrogate's conv shapes), batched Dense::forward and parallel per-ligand
 // dock() at several pool sizes. These are the numbers recorded in
 // BENCH_pr1.json to track the perf trajectory of the execution layer.
 //
@@ -106,6 +106,28 @@ BENCHMARK(BM_GemmBlocked)
     ->Args({256, 2})
     ->Args({256, 4})
     ->UseRealTime();
+
+// The three per-image convolution GEMMs of the default ML1 surrogate
+// (M×N×K = Cout × H·W × Cin·9): conv1 at 32×32, conv2 at 16×16 and the
+// residual convs at 8×8. beta = 1, as in Conv3x3 (C holds the bias).
+static void BM_GemmConvShapes(benchmark::State& state) {
+  const int M = static_cast<int>(state.range(0));
+  const int N = static_cast<int>(state.range(1));
+  const int K = static_cast<int>(state.range(2));
+  const auto A = random_matrix(static_cast<std::size_t>(M) * K, 1);
+  const auto B = random_matrix(static_cast<std::size_t>(K) * N, 2);
+  std::vector<float> C(static_cast<std::size_t>(M) * N, 0.0f);
+  for (auto _ : state) {
+    ml::gemm(ml::Trans::No, ml::Trans::No, M, N, K, 1.0f, A.data(), K,
+             B.data(), N, 1.0f, C.data(), N);
+    benchmark::ClobberMemory();
+  }
+  report_gflops(state, M, N, K);
+}
+BENCHMARK(BM_GemmConvShapes)
+    ->Args({8, 1024, 36})
+    ->Args({16, 256, 72})
+    ->Args({16, 64, 144});
 
 // ---------------------------------------------------------------- Dense
 

@@ -129,7 +129,6 @@ int main(int argc, char** argv) {
   mopts.height = 8;
   mopts.channels = 1;
   mopts.base_filters = 2;
-  mopts.predict_chunk = 256;
   const ml::SurrogateModel model(mopts);
 
   stages::ScaleModel scale;

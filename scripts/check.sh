@@ -25,8 +25,10 @@
 #      paths and the concurrent SurrogateModel::predict_batch contract),
 #      multi (shared-backend multi-target campaigns), raptor (overlay
 #      bulking and fan-out on LocalBackend pool threads), library (ligand
-#      featurization over compute pools of 1, 2 and 8 threads, nested too)
-#      and pool (the work-stealing pool itself: exec_engine_test);
+#      featurization over compute pools of 1, 2 and 8 threads, nested too),
+#      pool (the work-stealing pool itself: exec_engine_test) and ml (the
+#      GEMM kernel over 2- and 8-thread pools and the per-image
+#      predict_batch fan-out: gemm_test, ml_test);
 #   6. native preset (-march=native Release): the `dock`-labelled suite —
 #      the batched SIMD scorer's bitwise-equivalence gate must hold under
 #      the widest vectorization the host supports, not just the portable
@@ -109,7 +111,7 @@ echo "== configure + build (tsan preset) =="
 cmake --preset tsan
 cmake --build --preset tsan -j "$JOBS"
 
-echo "== tsan: concurrency lane (obs, graph, serve, multi, raptor, library, pool labels) =="
+echo "== tsan: concurrency lane (obs, graph, serve, multi, raptor, library, pool, ml labels) =="
 ctest --preset tsan-concurrency -j "$JOBS"
 
 echo "== configure + build (native preset: -march=native Release) =="

@@ -6,15 +6,18 @@
 // Layout is row-major throughout. The kernel computes
 //     C (M×N) = alpha * op(A) * op(B) + beta * C
 // with op ∈ {identity, transpose}. Transposed operands are packed into a
-// contiguous scratch panel once per call, then a single register-blocked
-// "ikj" kernel streams over cache-sized K panels (GemmTiling). Row panels of
-// C can be fanned out over a ThreadPool.
+// contiguous scratch panel once per call, then a 4-row × 8-column register-
+// tile micro-kernel streams over cache-sized K panels (GemmTiling): the 32
+// accumulators stay in registers for a whole panel, so C is loaded and
+// stored once per panel. Leftover rows and columns run plain scalar loops.
+// Row panels of C can be fanned out over a ThreadPool.
 //
-// Determinism contract: for every C element the K-dimension accumulates in
-// ascending order with fixed tile boundaries, independent of thread count —
-// results are bit-identical with a serial run. The accumulation order also
-// matches the naive bias-first ascending-k loops the layers used before this
-// kernel existed, so trained weights are preserved across the rewrite.
+// Determinism contract: every C element sees beta scaling, then
+// c += (alpha·a[k])·b[k][j] for k ascending, whatever tile, panel or thread
+// it lands in — results are bit-identical with a serial run and with
+// gemm_naive. The order also matches the naive bias-first ascending-k loops
+// the layers used before this kernel existed, so trained weights are
+// preserved across the rewrite.
 
 #include "impeccable/common/thread_pool.hpp"
 
@@ -25,7 +28,6 @@ enum class Trans { No, Yes };
 struct GemmTiling {
   int kc = 256;  ///< K panel height (keeps a B panel resident in L1/L2)
   int mc = 32;   ///< C rows per parallel task
-  int mr = 4;    ///< register-blocked rows of the micro-kernel
 };
 
 /// Blocked SGEMM. `lda`/`ldb`/`ldc` are leading dimensions (row strides) of

@@ -12,8 +12,8 @@
 //                    release()d back to the source afterwards. A window
 //                    is depicted one compute-pool job per ligand
 //                    (LigandSource::images).
-//                    predict_batch is chunk-invariant, so windowing never
-//                    changes a score.
+//                    predict_batch scores each image on its own, so
+//                    windowing never changes a score.
 //   ScoreSpill       the per-iteration score array, RAM-backed for
 //                    in-memory runs and file-backed (pread/pwrite, bounded
 //                    buffers) for out-of-core runs. Random access serves

@@ -22,9 +22,6 @@ struct SurrogateOptions {
   int base_filters = 8;
   int epochs = 6;
   int batch_size = 16;
-  /// Inference chunk size for predict_batch (outputs are invariant to it;
-  /// larger chunks amortize per-forward overhead at more scratch memory).
-  int predict_chunk = 64;
   float learning_rate = 1e-3f;
   float validation_fraction = 0.2f;
   std::uint64_t seed = 0x5002d09a7eULL;
@@ -55,9 +52,12 @@ class SurrogateModel {
   /// Predicted label in [0, 1] (higher = more likely strong binder).
   ///
   /// Thread safety: predict/predict_batch are const and run the network's
-  /// cache-free infer() path with per-call scratch, so any number of threads
+  /// cache-free infer() path with per-image scratch, so any number of threads
   /// may score through one model concurrently (the serving path depends on
-  /// this). Outputs are bitwise identical to the training-time forward.
+  /// this). predict_batch runs one job per image on the installed compute
+  /// pool (common::compute_pool()), serially when none is installed.
+  /// Outputs are bitwise identical to the training-time forward and
+  /// independent of the pool size.
   /// train() mutates the weights and must not overlap with predictions.
   float predict(const chem::Image& image) const;
   std::vector<float> predict_batch(const std::vector<chem::Image>& images) const;
@@ -77,7 +77,7 @@ class SurrogateModel {
 
  private:
   /// Pack `count` images starting at `begin` into `x`, reusing its buffer
-  /// when the shape already matches (one scratch Tensor serves all chunks).
+  /// when the shape already matches (one scratch Tensor serves all batches).
   void to_tensor(const std::vector<chem::Image>& images, std::size_t begin,
                  std::size_t count, Tensor& x) const;
 

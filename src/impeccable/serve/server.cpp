@@ -106,8 +106,17 @@ std::future<Response> InferenceServer::submit(const std::string& target,
       return fut;
     }
   }
-  t->queue.push_back({std::move(req), std::move(promise),
-                      std::chrono::steady_clock::now()});
+  const auto enqueued = std::chrono::steady_clock::now();
+  if (t->last_enqueued != std::chrono::steady_clock::time_point{}) {
+    const double gap_us = std::chrono::duration<double, std::micro>(
+                              enqueued - t->last_enqueued)
+                              .count();
+    t->ewma_gap_us = t->ewma_gap_us <= 0.0
+                         ? gap_us
+                         : 0.7 * t->ewma_gap_us + 0.3 * gap_us;
+  }
+  t->last_enqueued = enqueued;
+  t->queue.push_back({std::move(req), std::move(promise), enqueued});
   lk.unlock();
   t->cv.notify_one();
   return fut;
@@ -144,11 +153,18 @@ void InferenceServer::worker_loop(Target& t) {
     if (stopping_.load()) break;
 
     // Deadline-aware coalescing: sleep until the adaptive flush threshold
-    // fills or the oldest queued request exhausts its latency budget.
+    // fills or the oldest queued request exhausts its latency budget — but
+    // not for a batch the observed arrival rate cannot fill before then:
+    // under light load that wait would buy no batching, only latency.
     const auto deadline = t.queue.front().enqueued + to_duration(opts_.deadline_us);
     const auto threshold = static_cast<std::size_t>(t.flush_threshold);
     t.cv.wait_until(lk, deadline, [&] {
-      return stopping_.load() || paused_.load() || t.queue.size() >= threshold;
+      if (stopping_.load() || paused_.load() || t.queue.size() >= threshold)
+        return true;
+      const double missing = static_cast<double>(threshold - t.queue.size());
+      return std::chrono::steady_clock::now() +
+                 to_duration(missing * t.ewma_gap_us) >
+             deadline;
     });
     if (stopping_.load()) break;
     if (paused_.load() || t.queue.empty()) continue;

@@ -9,10 +9,12 @@
 //
 //  * Dynamic micro-batching. Per target, a worker coalesces queued
 //    requests and flushes when either the adaptive batch target fills or
-//    the oldest request has waited `deadline_us` — so light load pays at
-//    most one deadline of latency and heavy load runs at full batch
-//    efficiency. The batch target tracks observed per-image model latency
-//    (EWMA) so half of the deadline is spent computing.
+//    the oldest request has waited `deadline_us`, and at once when the
+//    observed arrival rate (EWMA of submission gaps) cannot fill the
+//    target before that deadline — so light load pays no batching wait
+//    and heavy load runs at full batch efficiency. The batch target tracks
+//    observed per-image model latency (EWMA) so half of the deadline is
+//    spent computing.
 //
 //  * Sharded score cache. Requests carry a 128-bit content key; hits are
 //    served from serve::ShardedScoreCache without touching the model, and
@@ -177,6 +179,11 @@ class InferenceServer {
     std::uint64_t batches = 0, model_images = 0;
     int flush_threshold = 1;
     double ewma_image_us = 0.0;
+    /// Smoothed gap between submissions (0 until two have arrived) and
+    /// the time of the last one: the worker's estimate of how soon a
+    /// partial batch would fill.
+    double ewma_gap_us = 0.0;
+    std::chrono::steady_clock::time_point last_enqueued{};
   };
 
   /// Outcome of scoring one drained batch. Promises are fulfilled by the

@@ -1,7 +1,8 @@
 // Blocked GEMM tests: exhaustive small-shape equivalence against the naive
 // reference (all transpose combinations, non-multiple-of-tile shapes,
-// alpha/beta variants), bitwise pool-size invariance, and a Dense layer
-// gradient-check regression over the GEMM-backed forward/backward.
+// alpha/beta variants), bitwise equality with the naive reference and
+// across pool sizes, and a Dense layer gradient-check regression over the
+// GEMM-backed forward/backward.
 
 #include <gtest/gtest.h>
 
@@ -109,6 +110,56 @@ TEST(Gemm, ResultIsBitwiseInvariantAcrossPoolSizes) {
     ASSERT_EQ(std::memcmp(serial.data(), par.data(),
                           serial.size() * sizeof(float)), 0)
         << "pool size " << threads;
+  }
+}
+
+TEST(Gemm, BitwiseEqualsNaive) {
+  // Every C element sees the same operations in the same order in the 4×8
+  // register tile, the leftover-row/column loops and gemm_naive, so the
+  // kernel is pinned byte for byte, not to a tolerance.
+  struct Shape {
+    int M, N, K;
+  };
+  const Shape shapes[] = {
+      {8, 1024, 36},  {16, 256, 72}, {16, 64, 144},  // the surrogate's convs
+      {37, 29, 300},  // M % 4 != 0, N % 8 != 0, K > kc (two panels)
+      {67, 13, 530},  // three mc row panels, three K panels
+      {3, 7, 5},      // smaller than one tile in both directions
+      {4, 8, 1},      // exactly one tile, one k
+  };
+  ml::GemmTiling tiny;  // panel and row-block edges inside a tile
+  tiny.kc = 5;
+  tiny.mc = 6;
+  ic::ThreadPool pool2(2), pool8(8);
+  ic::Rng rng(2024);
+  for (const Shape& sh : shapes) {
+    const auto A = random_matrix(static_cast<std::size_t>(sh.M) * sh.K, rng);
+    const auto B = random_matrix(static_cast<std::size_t>(sh.K) * sh.N, rng);
+    const auto C0 = random_matrix(static_cast<std::size_t>(sh.M) * sh.N, rng);
+    for (auto ta : {ml::Trans::No, ml::Trans::Yes})
+      for (auto tb : {ml::Trans::No, ml::Trans::Yes})
+        for (float alpha : {1.0f, -0.5f})
+          for (float beta : {0.0f, 1.0f, 0.25f}) {
+            const int lda = ta == ml::Trans::No ? sh.K : sh.M;
+            const int ldb = tb == ml::Trans::No ? sh.N : sh.K;
+            auto ref = C0;
+            ml::gemm_naive(ta, tb, sh.M, sh.N, sh.K, alpha, A.data(), lda,
+                           B.data(), ldb, beta, ref.data(), sh.N);
+            for (const ml::GemmTiling& tiling : {ml::GemmTiling{}, tiny})
+              for (ic::ThreadPool* pool : {static_cast<ic::ThreadPool*>(nullptr),
+                                           &pool2, &pool8}) {
+                auto got = C0;
+                ml::gemm(ta, tb, sh.M, sh.N, sh.K, alpha, A.data(), lda,
+                         B.data(), ldb, beta, got.data(), sh.N, pool, tiling);
+                ASSERT_EQ(std::memcmp(ref.data(), got.data(),
+                                      ref.size() * sizeof(float)), 0)
+                    << "M=" << sh.M << " N=" << sh.N << " K=" << sh.K
+                    << " ta=" << (ta == ml::Trans::Yes)
+                    << " tb=" << (tb == ml::Trans::Yes) << " alpha=" << alpha
+                    << " beta=" << beta << " kc=" << tiling.kc
+                    << " pool=" << (pool ? pool->size() : 0);
+              }
+          }
   }
 }
 

@@ -70,19 +70,6 @@ core::ScienceConfig slim_science() {
   return sci;
 }
 
-/// Installs `pool` as the process compute pool for one scope.
-class ComputePoolScope {
- public:
-  explicit ComputePoolScope(common::ThreadPool* pool)
-      : prev_(common::set_compute_pool(pool)) {}
-  ~ComputePoolScope() { common::set_compute_pool(prev_); }
-  ComputePoolScope(const ComputePoolScope&) = delete;
-  ComputePoolScope& operator=(const ComputePoolScope&) = delete;
-
- private:
-  common::ThreadPool* prev_;
-};
-
 /// Same shape and the same bytes, so -0.0f vs 0.0f or NaN payloads count.
 bool bitwise_equal(const chem::Image& a, const chem::Image& b) {
   return a.channels == b.channels && a.height == b.height &&

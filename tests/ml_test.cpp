@@ -1,16 +1,21 @@
 // ML substrate tests: tensor ops, layer gradients vs finite differences,
-// optimizers, losses, the ML1 surrogate, RES and the RES budget advisor,
-// LOF, t-SNE, the 3D-AAE, and weight save/load for both models.
+// optimizers, losses, the ML1 surrogate (predict_batch pinned bitwise across
+// compute-pool sizes), RES and the RES budget advisor, LOF, t-SNE, the
+// 3D-AAE, and weight save/load for both models.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <vector>
 
 #include "impeccable/chem/depiction.hpp"
 #include "impeccable/chem/library.hpp"
 #include "impeccable/chem/smiles.hpp"
+#include "impeccable/common/thread_pool.hpp"
 #include "impeccable/ml/aae.hpp"
 #include "impeccable/ml/layers.hpp"
 #include "impeccable/ml/lof.hpp"
@@ -365,28 +370,75 @@ TEST(Surrogate, FlopModelPositiveAndMonotone) {
             ml::SurrogateModel(small).flops_per_image());
 }
 
-TEST(Surrogate, PredictBatchInvariantToChunkSize) {
-  // predict_batch must return identical scores whatever the inference chunk
-  // size (the batched forward is per-sample independent).
-  const char* smiles[] = {"c1ccccc1", "CCCCCC", "Oc1ccccc1", "CCNCC",
-                          "Cc1ccccc1", "CCCCO", "c1ccncc1", "CC(C)CC",
-                          "CCOCC", "Nc1ccccc1"};
+TEST(Surrogate, PredictBatchBitwiseAcrossComputePoolSizes) {
+  // predict_batch runs one job per image on the installed compute pool. Its
+  // scores must not depend on the pool (none, 1, 2 or 8 threads, or called
+  // from inside a pool job) and must equal per-image predict() and the
+  // training-time forward over the whole batch, byte for byte.
+  const auto lib = chem::generate_library("PRED", 13, 41);
   std::vector<chem::Image> images;
-  for (const char* s : smiles)
-    images.push_back(chem::depict(chem::parse_smiles(s)));
+  for (std::size_t i = 0; i < lib.size(); ++i)
+    images.push_back(chem::depict(chem::parse_smiles(lib.entries[i].smiles)));
+  ml::SurrogateOptions opts;
+  opts.seed = 77;
+  ml::SurrogateModel model(opts);
+  const auto same_bits = [](const std::vector<float>& a,
+                            const std::vector<float>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
 
-  std::vector<std::vector<float>> results;
-  for (int chunk : {1, 3, 7, 10, 64}) {
-    ml::SurrogateOptions opts;
-    opts.seed = 77;
-    opts.predict_chunk = chunk;
-    ml::SurrogateModel model(opts);  // same seed -> same weights
-    results.push_back(model.predict_batch(images));
-    ASSERT_EQ(results.back().size(), images.size()) << "chunk=" << chunk;
+  const ComputePoolScope serial(nullptr);
+  const std::vector<float> ref = model.predict_batch(images);
+  ASSERT_EQ(ref.size(), images.size());
+  for (std::size_t i = 0; i < images.size(); ++i)
+    EXPECT_TRUE(same_bits({model.predict(images[i])}, {ref[i]})) << "image " << i;
+
+  // The training-time forward: the surrogate's layer stack, built here with
+  // the model's weights loaded (load_parameters checks every shape).
+  ml::Sequential net;
+  {
+    Rng rng(0);
+    const int f = opts.base_filters;
+    net.add(std::make_unique<ml::Conv3x3>(opts.channels, f, rng));
+    net.add(std::make_unique<ml::ReLU>());
+    net.add(std::make_unique<ml::MaxPool2>());
+    net.add(std::make_unique<ml::Conv3x3>(f, 2 * f, rng));
+    net.add(std::make_unique<ml::ReLU>());
+    net.add(std::make_unique<ml::MaxPool2>());
+    net.add(std::make_unique<ml::ResidualBlock>(2 * f, rng));
+    net.add(std::make_unique<ml::MaxPool2>());
+    net.add(std::make_unique<ml::Flatten>());
+    net.add(std::make_unique<ml::Dense>(
+        2 * f * (opts.height / 8) * (opts.width / 8), 32, rng));
+    net.add(std::make_unique<ml::ReLU>());
+    net.add(std::make_unique<ml::Dense>(32, 1, rng));
+    net.add(std::make_unique<ml::Sigmoid>());
   }
-  for (std::size_t r = 1; r < results.size(); ++r)
-    for (std::size_t i = 0; i < images.size(); ++i)
-      EXPECT_EQ(results[r][i], results[0][i]) << "result set " << r << " image " << i;
+  const auto path = tmp_path("imp_predict_pool_weights.bin");
+  model.save_weights(path.string());
+  ml::load_parameters(net, path.string());
+  std::filesystem::remove(path);
+  ml::Tensor batch({static_cast<int>(images.size()), opts.channels,
+                    opts.height, opts.width});
+  for (std::size_t i = 0; i < images.size(); ++i)
+    std::copy(images[i].data.begin(), images[i].data.end(),
+              batch.data() + i * images[i].data.size());
+  const ml::Tensor forward = net.forward(batch);
+  EXPECT_TRUE(same_bits(
+      std::vector<float>(forward.data(), forward.data() + forward.size()), ref));
+
+  for (const std::size_t threads : {1, 2, 8}) {
+    impeccable::common::ThreadPool pool(threads);
+    const ComputePoolScope scope(&pool);
+    EXPECT_TRUE(same_bits(model.predict_batch(images), ref))
+        << threads << " threads";
+    // Nested: scored from inside a job on the same pool, as the ML1 stage
+    // and the streaming benchmark call it.
+    std::vector<float> nested;
+    pool.submit([&] { nested = model.predict_batch(images); }).get();
+    EXPECT_TRUE(same_bits(nested, ref)) << threads << " threads, nested";
+  }
 }
 
 // ---------------------------------------------------------------- RES

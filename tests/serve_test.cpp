@@ -379,6 +379,33 @@ TEST(InferenceServer, AdaptiveFlushThresholdStaysWithinConfiguredBand) {
   EXPECT_GT(s.ewma_image_us, 0.0);
 }
 
+TEST(InferenceServer, SparseArrivalsFlushWithoutWaitingOutTheDeadline) {
+  // A partial batch the arrival rate cannot fill before its deadline is
+  // flushed at once. The first request, with no arrival history, waits out
+  // the deadline; the second arrives more than a deadline later, so at the
+  // observed rate the missing request would come too late to wait for.
+  serve::ServeOptions opts;
+  opts.max_batch = 2;  // threshold 2: a lone request is a partial batch
+  opts.min_batch = 2;
+  opts.deadline_us = 400000.0;
+  opts.cache.capacity = 0;
+  serve::InferenceServer server(opts);
+  server.register_target("t", small_model());
+  const auto images = test_images(2);
+
+  const double t0 = server.now();
+  const serve::Response first = server.submit("t", make_request(images[0])).get();
+  EXPECT_GE(first.done_time - t0, 0.4) << "no arrival history: waits";
+
+  const double t1 = server.now();
+  const serve::Response second =
+      server.submit("t", make_request(images[1])).get();
+  EXPECT_EQ(second.status, serve::Status::kOk);
+  EXPECT_LT(second.done_time - t1, 0.2)
+      << "a request the rate cannot pair before the deadline flushes alone";
+  EXPECT_EQ(server.stats("t").batches, 2u);
+}
+
 TEST(InferenceServer, ShutdownShedsQueuedWorkAndRefusesNewWork) {
   serve::InferenceServer server;
   server.register_target("t", small_model());

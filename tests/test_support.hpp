@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 
+#include "impeccable/common/thread_pool.hpp"
 #include "impeccable/dock/receptor.hpp"
 #include "impeccable/rct/task.hpp"
 
@@ -15,6 +16,19 @@
 inline std::filesystem::path tmp_path(const std::string& name) {
   return std::filesystem::temp_directory_path() / name;
 }
+
+/// Installs `pool` as the process compute pool for one scope.
+class ComputePoolScope {
+ public:
+  explicit ComputePoolScope(impeccable::common::ThreadPool* pool)
+      : prev_(impeccable::common::set_compute_pool(pool)) {}
+  ~ComputePoolScope() { impeccable::common::set_compute_pool(prev_); }
+  ComputePoolScope(const ComputePoolScope&) = delete;
+  ComputePoolScope& operator=(const ComputePoolScope&) = delete;
+
+ private:
+  impeccable::common::ThreadPool* prev_;
+};
 
 /// Affinity maps of the synthetic receptor `name` (seeded by `seed`) on a
 /// `nodes`-per-axis lattice; small lattices keep tests fast.
