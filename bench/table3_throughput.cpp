@@ -2,45 +2,19 @@
 // per second ... per Summit node" — for ML1, S1, S3-CG, S3-FG at the paper's
 // GPU counts (1536 / 6000 / 6000 / 6000).
 //
-// Two parts:
-//  1. The scaled table: aggregate Tflop/s = GPUs x per-GPU rate; throughput
-//     (ligands/s) = aggregate rate / flops-per-ligand — per-ligand flops
-//     come from our kernel models at paper protocol, rates are calibrated
-//     from the paper's measurements (see bench/paper_protocol.hpp).
-//  2. Host measurements: each kernel is actually run here and timed, and its
-//     model flop count divided by wall time gives this host's Gflop/s — the
-//     reproducible "measured over a short time interval" analogue.
+// Aggregate Tflop/s = GPUs x per-GPU rate; throughput (ligands/s) =
+// aggregate rate / flops-per-ligand — per-ligand flops come from our kernel
+// models at paper protocol, rates are calibrated from the paper's
+// measurements (see bench/paper_protocol.hpp). This host's measured rates
+// for the same kernels, the "measured over a short time interval" analogue,
+// are bench_kernels' GFLOP/s counters on BM_SurrogatePredictBatch,
+// BM_DockEvaluate and BM_MdStep.
 
-#include <chrono>
 #include <cstdio>
-#include <vector>
 
-#include "impeccable/chem/depiction.hpp"
-#include "impeccable/chem/library.hpp"
-#include "impeccable/chem/smiles.hpp"
-#include "impeccable/dock/receptor.hpp"
-#include "impeccable/dock/score.hpp"
-#include "impeccable/md/integrator.hpp"
-#include "impeccable/md/system.hpp"
-#include "impeccable/ml/surrogate.hpp"
 #include "paper_protocol.hpp"
 
-namespace chem = impeccable::chem;
-namespace dock = impeccable::dock;
-namespace md = impeccable::md;
-namespace ml = impeccable::ml;
-
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
-
 int main() {
-  // ---- part 1: the scaled Table 3 ----------------------------------------
   struct Row {
     const char* name;
     int gpus;
@@ -75,65 +49,5 @@ int main() {
               "caption says 'measured over short but time interval'; ours "
               "are steady-state, consistent with Table 2's per-ligand "
               "node-hours.)\n");
-
-  // ---- part 2: host kernel measurements ----------------------------------
-  std::printf("\nhost kernel rates (model flops / measured wall time):\n");
-  std::printf("%-22s %-14s %-12s\n", "kernel", "work units", "Gflop/s");
-
-  {  // ML1 inference.
-    ml::SurrogateModel surrogate;
-    std::vector<chem::Image> images;
-    const auto lib = chem::generate_library("B", 64, 3);
-    for (const auto& e : lib.entries)
-      images.push_back(chem::depict(chem::parse_smiles(e.smiles)));
-    const auto t0 = std::chrono::steady_clock::now();
-    surrogate.predict_batch(images);
-    const double dt = seconds_since(t0);
-    const double flops = static_cast<double>(surrogate.flops_per_image()) *
-                         static_cast<double>(images.size());
-    std::printf("%-22s %-14s %-12.2f\n", "ML1 inference", "64 images",
-                flops / dt / 1e9);
-  }
-  {  // S1 docking evaluations.
-    const auto receptor = dock::Receptor::synthesize("b", 5);
-    const auto grid = dock::compute_grid(receptor);
-    const auto mol = chem::parse_smiles("CC(C)Cc1ccc(cc1)C(C)C(=O)O");
-    const dock::Ligand lig(mol);
-    const dock::ScoringFunction score(*grid, lig);
-    impeccable::common::Rng rng(1);
-    const auto pose = lig.random_pose(grid->pocket_center, 3.0, rng);
-    const int n = 20000;
-    const auto t0 = std::chrono::steady_clock::now();
-    double acc = 0;
-    for (int i = 0; i < n; ++i) acc += score.evaluate(pose);
-    const double dt = seconds_since(t0);
-    const double flops =
-        static_cast<double>(dock::flops_per_evaluation(
-            lig.atom_count(), static_cast<int>(lig.nonbonded_pairs().size()))) * n;
-    std::printf("%-22s %-14s %-12.2f   (checksum %.1f)\n", "S1 pose evaluation",
-                "20000 evals", flops / dt / 1e9, acc / n);
-  }
-  {  // S3 MD steps (CG-sized and FG-sized systems share the kernel).
-    md::ProteinOptions popts;
-    popts.residues = 120;
-    const auto protein = md::build_protein(7, popts);
-    const auto mol = chem::parse_smiles("CCOc1ccc(N)cc1");
-    const dock::Ligand lig(mol);
-    const auto lpc = md::build_lpc(protein, mol, lig.reference_coords());
-    const md::ForceField ff(lpc.topology);
-    md::LangevinIntegrator integ(ff, {}, 3);
-    auto pos = lpc.positions;
-    std::vector<impeccable::common::Vec3> vel;
-    integ.thermalize(vel);
-    integ.run(pos, vel, 10);  // warm up neighbour structures
-    const int n = 2000;
-    const auto t0 = std::chrono::steady_clock::now();
-    integ.run(pos, vel, n);
-    const double dt = seconds_since(t0);
-    const double flops = static_cast<double>(md::flops_per_md_step(
-                             lpc.topology.bead_count(), ff.last_pair_count())) * n;
-    std::printf("%-22s %-14s %-12.2f\n", "S3 MD step", "2000 steps",
-                flops / dt / 1e9);
-  }
   return 0;
 }

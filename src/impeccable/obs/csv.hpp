@@ -1,7 +1,6 @@
 #pragma once
-// Shared CSV writer — RFC-4180 quoting in one place. Used by the trace CSV
-// exporter and by rct::SessionProfile::write_csv (which used to hand-roll
-// its rows).
+// CSV writer — RFC-4180 quoting in one place. Used by
+// rct::SessionProfile::write_csv.
 
 #include <cstdint>
 #include <ostream>

@@ -1,10 +1,8 @@
 #include "impeccable/obs/trace_export.hpp"
 
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
-#include "impeccable/obs/csv.hpp"
 #include "impeccable/obs/json.hpp"
 #include "impeccable/obs/recorder.hpp"
 
@@ -53,34 +51,6 @@ void write_chrome_trace(const Trace& trace, std::ostream& os, int pid) {
 void write_chrome_trace(const Trace& trace, const std::string& path, int pid) {
   auto f = open_or_throw(path);
   write_chrome_trace(trace, f, pid);
-}
-
-void write_trace_csv(const Trace& trace, std::ostream& os) {
-  CsvWriter csv(os);
-  csv.cell("name").cell("category").cell("start").cell("end").cell("duration");
-  csv.cell("thread").cell("id").cell("parent").cell("args");
-  csv.end_row();
-  for (const auto& s : trace.spans) {
-    csv.cell(s.name).cell(s.category);
-    csv.cell(s.start).cell(s.end).cell(s.duration());
-    csv.cell(static_cast<std::uint64_t>(s.thread)).cell(s.id).cell(s.parent);
-    std::ostringstream args;
-    for (std::size_t i = 0; i < s.args.size(); ++i) {
-      if (i) args << ';';
-      args << s.args[i].key << '=';
-      if (s.args[i].is_num)
-        args << s.args[i].num;
-      else
-        args << s.args[i].str;
-    }
-    csv.cell(args.str());
-    csv.end_row();
-  }
-}
-
-void write_trace_csv(const Trace& trace, const std::string& path) {
-  auto f = open_or_throw(path);
-  write_trace_csv(trace, f);
 }
 
 }  // namespace impeccable::obs

@@ -1,6 +1,6 @@
 #pragma once
-// Trace exporters: Chrome trace_event JSON (open in chrome://tracing or
-// https://ui.perfetto.dev) and flat CSV for external plotting.
+// Trace exporter: Chrome trace_event JSON (open in chrome://tracing or
+// https://ui.perfetto.dev).
 
 #include <ostream>
 #include <string>
@@ -17,10 +17,5 @@ namespace impeccable::obs {
 void write_chrome_trace(const Trace& trace, std::ostream& os, int pid = 1);
 void write_chrome_trace(const Trace& trace, const std::string& path,
                         int pid = 1);
-
-/// One row per span: name,category,start,end,duration,thread,id,parent,args
-/// (args serialized as k=v pairs separated by ';').
-void write_trace_csv(const Trace& trace, std::ostream& os);
-void write_trace_csv(const Trace& trace, const std::string& path);
 
 }  // namespace impeccable::obs

@@ -213,13 +213,13 @@ std::vector<float> train_small_net() {
 }  // namespace
 
 TEST(ExecEngine, TrainingIsBitwiseIdenticalAcrossComputePoolSizes) {
-  ml::set_compute_pool(nullptr);
+  ic::set_compute_pool(nullptr);
   const auto serial = train_small_net();
 
   ic::ThreadPool pool(8);
-  ml::set_compute_pool(&pool);
+  ic::set_compute_pool(&pool);
   const auto parallel = train_small_net();
-  ml::set_compute_pool(nullptr);
+  ic::set_compute_pool(nullptr);
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -76,6 +77,39 @@ bool bitwise_equal(const chem::Image& a, const chem::Image& b) {
          a.width == b.width && a.data.size() == b.data.size() &&
          std::memcmp(a.data.data(), b.data.data(),
                      a.data.size() * sizeof(float)) == 0;
+}
+
+/// Shard file bytes, for tests that craft a damaged header or index.
+std::vector<char> read_file(const std::filesystem::path& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::filesystem::path& path,
+                const std::vector<char>& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Little-endian u64 at `at`, the shard format's integer encoding.
+void put_u64(std::vector<char>& bytes, std::size_t at, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i)
+    bytes[at + static_cast<std::size_t>(i)] = static_cast<char>(v >> (8 * i));
+}
+
+std::uint64_t get_u64(const std::vector<char>& bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i)
+    v |= std::uint64_t{static_cast<unsigned char>(bytes[at + i])} << (8 * i);
+  return v;
+}
+
+/// One single-shard store of `n` records in `dir`.
+void write_small_store(const std::filesystem::path& dir, std::size_t n) {
+  std::filesystem::remove_all(dir);
+  chem::LigandStoreWriter w(dir.string());
+  for (std::size_t i = 0; i < n; ++i) w.append(lig_id(i), lig_smiles(i));
+  w.finish();
 }
 
 core::ExecConfig slim_exec() {
@@ -183,6 +217,45 @@ TEST(LigandStore, CorruptShardsAreSkippedAndCounted) {
   ASSERT_EQ(store.size(), 5u);  // shard 0 survived
   for (std::size_t i = 0; i < 5; ++i)
     EXPECT_EQ(store.id(i), "LIG-" + std::to_string(i));
+  std::filesystem::remove_all(dir);
+}
+
+// The header sits outside the checksum: a payload size that wraps
+// `header + payload_bytes` past 2^64 must not pass the structural check.
+TEST(LigandStore, WrappedPayloadSizeIsSkipped) {
+  const auto dir = tmp_path("imp_store_wrapped_header");
+  write_small_store(dir, 4);
+  const auto path = dir / "shard-00000.imls";
+  auto bytes = read_file(path);
+  put_u64(bytes, 24, std::numeric_limits<std::uint64_t>::max());
+  write_file(path, bytes);
+
+  auto store = chem::LigandStore::open(dir.string());
+  EXPECT_EQ(store.stats().shards_ok, 0u);
+  EXPECT_EQ(store.stats().shards_skipped, 1u);
+  EXPECT_EQ(store.size(), 0u);
+  std::filesystem::remove_all(dir);
+}
+
+// An index entry near 2^64 (checksum resealed, so the shard opens) must
+// throw on access instead of wrapping back into the header bytes.
+TEST(LigandStore, WrappingIndexEntryThrows) {
+  const auto dir = tmp_path("imp_store_wrapped_index");
+  write_small_store(dir, 4);
+  const auto path = dir / "shard-00000.imls";
+  auto bytes = read_file(path);
+  put_u64(bytes, get_u64(bytes, 32),  // index entry 0
+          std::numeric_limits<std::uint64_t>::max() - 1);
+  put_u64(bytes, 48, chem::fnv1a64(bytes.data() + 64, bytes.size() - 64));
+  write_file(path, bytes);
+
+  auto store = chem::LigandStore::open(dir.string());
+  ASSERT_EQ(store.stats().shards_ok, 1u);
+  ASSERT_EQ(store.size(), 4u);
+  EXPECT_THROW((void)store.id(0), std::runtime_error);
+  EXPECT_EQ(store.id(1), lig_id(1));
+  store.release(0, store.size());  // clamped to the shard; must not fault
+  EXPECT_EQ(store.smiles(3), lig_smiles(3));
   std::filesystem::remove_all(dir);
 }
 
