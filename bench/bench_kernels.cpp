@@ -147,8 +147,10 @@ BENCHMARK(BM_GemmBlocked)
 
 // The three per-image convolution GEMMs of the default ML1 surrogate
 // (M×N×K = Cout × H·W × Cin·9): conv1 at 32×32, conv2 at 16×16 and the
-// residual convs at 8×8. beta = 1, as in Conv3x3 (C holds the bias).
+// residual convs at 8×8. beta = 1, as in Conv3x3 (C holds the bias). The
+// row label names the GEMM ISA variant this host dispatched to.
 static void BM_GemmConvShapes(benchmark::State& state) {
+  state.SetLabel(ml::gemm_isa_name(ml::gemm_isa()));
   const int M = static_cast<int>(state.range(0));
   const int N = static_cast<int>(state.range(1));
   const int K = static_cast<int>(state.range(2));
@@ -183,6 +185,7 @@ static void BM_DenseForwardBatch(benchmark::State& state) {
 BENCHMARK(BM_DenseForwardBatch)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 static void BM_SurrogateInference(benchmark::State& state) {
+  state.SetLabel(ml::gemm_isa_name(ml::gemm_isa()));
   ml::SurrogateModel model;
   const auto img = chem::depict(chem::parse_smiles("CC(=O)Oc1ccccc1C(=O)O"));
   for (auto _ : state) benchmark::DoNotOptimize(model.predict(img));

@@ -9,7 +9,8 @@
 #      gate) as its own lane so a store regression is named in the output,
 #      not buried in the suite; then the SIMD audit (scripts/simd_audit.sh:
 #      every `#pragma omp simd` loop under src/ must vectorize under the
-#      default preset's flags, per-file options included);
+#      default preset's flags, per-file options included, and the GEMM's
+#      ISA-variant object must hold no fused multiply-add);
 #   2. asan preset (Address+LeakSanitizer with IMPECCABLE_CHECKS on — the
 #      RNG-ownership auditor and IMP_DCHECK bounds checks run live): full
 #      suite + the `library` label again (the mmap read path and spill
@@ -29,10 +30,11 @@
 #      pool (the work-stealing pool itself: exec_engine_test) and ml (the
 #      GEMM kernel over 2- and 8-thread pools and the per-image
 #      predict_batch fan-out: gemm_test, ml_test);
-#   6. native preset (-march=native Release): the `dock`-labelled suite —
-#      the batched SIMD scorer's bitwise-equivalence gate must hold under
-#      the widest vectorization the host supports, not just the portable
-#      default codegen;
+#   6. native preset (-march=native Release): the `dock`- and `ml`-labelled
+#      suites — the batched SIMD scorer's bitwise-equivalence gate, the GEMM
+#      pinned to gemm_naive on every ISA variant and the surrogate's pinned
+#      score bits must hold under the widest vectorization the host
+#      supports, not just the portable default codegen;
 #   7. benchmark self-test (perfbench/run.py --self-test): builds the
 #      repository benchmark against the current src/ and runs every
 #      workload against its real and a deliberately wrong reference, so an
@@ -72,7 +74,7 @@ ctest --preset audit -j "$JOBS"
 echo "== out-of-core library gate (library label) =="
 ctest --preset library -j "$JOBS"
 
-echo "== SIMD audit (every omp simd loop vectorizes) =="
+echo "== SIMD audit (every omp simd loop vectorizes; no FMA in ISA variants) =="
 scripts/simd_audit.sh build
 
 if [ "$QUICK" -eq 1 ]; then
@@ -118,8 +120,8 @@ echo "== configure + build (native preset: -march=native Release) =="
 cmake --preset native -DIMPECCABLE_WERROR=ON
 cmake --build --preset native -j "$JOBS"
 
-echo "== native: dock-labeled tests (batched-vs-scalar equivalence) =="
-ctest --preset native-dock -j "$JOBS"
+echo "== native: dock- and ml-labeled tests (bitwise kernel gates) =="
+ctest --preset native-kernels -j "$JOBS"
 
 echo "== benchmark self-test (perfbench: build + ok_frac gates) =="
 python3 perfbench/run.py --self-test

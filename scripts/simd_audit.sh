@@ -13,6 +13,13 @@
 # There is no allowlist: a pragma over a loop that cannot vectorize is
 # removed, with a one-line comment saying why.
 #
+# Second check: a file that compiles ISA variants with [[gnu::target(...)]]
+# (the GEMM tile, src/impeccable/ml/gemm.cpp) must emit no fused
+# multiply-add. Its results are pinned bit for bit on every ISA the host
+# runs; an FMA would round c + a·b once instead of twice. The file is
+# recompiled to a scratch object with the build's command and disassembled;
+# any vfmadd/vfmsub/vfnmadd/vfnmsub instruction fails the audit.
+#
 # Usage: scripts/simd_audit.sh [BUILD_DIR]   (default: build, the default
 #        preset's tree; configure it first with `cmake --preset default`)
 set -euo pipefail
@@ -39,26 +46,30 @@ if [ "${#files[@]}" -eq 0 ]; then
   echo "simd_audit: no '#pragma omp simd' under src/"
   exit 0
 fi
+# Files with per-ISA variants; passed after a "--" separator.
+mapfile -t isa_files < <(grep -rl --include='*.cpp' 'gnu::target(' src | sort)
 
-python3 - "$DB" "${files[@]}" <<'PY'
+python3 - "$DB" "${files[@]}" -- "${isa_files[@]}" <<'PY'
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 
-db_path, files = sys.argv[1], sys.argv[2:]
+db_path, rest = sys.argv[1], sys.argv[2:]
+sep = rest.index("--")
+files, isa_files = rest[:sep], rest[sep + 1:]
 with open(db_path) as f:
     commands = {os.path.realpath(e["file"]): e for e in json.load(f)}
 
 
-def audit_command(entry):
-    """The build's compile command, retargeted to write no object file and
-    to print the vectorizer's report."""
+def build_args(entry, out, extra=()):
+    """The build's compile command, retargeted to write `out`."""
     args = (entry["arguments"] if "arguments" in entry
             else shlex.split(entry["command"]))
-    out, skip = [], False
+    out_args, skip = [], False
     for a in args:
         if skip:
             skip = False
@@ -68,8 +79,15 @@ def audit_command(entry):
             continue
         if a in ("-MD", "-MMD"):
             continue
-        out.append(a)
-    return out + ["-o", os.devnull, "-fopt-info-vec-all"], entry["directory"]
+        out_args.append(a)
+    return out_args + ["-o", out, *extra]
+
+
+def audit_command(entry):
+    """The build's compile command, retargeted to write no object file and
+    to print the vectorizer's report."""
+    return (build_args(entry, os.devnull, ["-fopt-info-vec-all"]),
+            entry["directory"])
 
 
 def pragma_loops(path):
@@ -128,6 +146,32 @@ for rel in files:
         else:
             print(f"ok   {rel}:{line}: {vectorized[0]}")
 
-print(f"simd_audit: {audited} omp simd loops audited, {failed} failing")
+fma = re.compile(r"\bvfn?m(add|sub)")
+for rel in isa_files:
+    path = os.path.realpath(rel)
+    if path not in commands:
+        print(f"FAIL {rel}: not in {db_path} (file not built by this tree?)")
+        failed += 1
+        continue
+    with tempfile.TemporaryDirectory() as tmp:
+        obj = os.path.join(tmp, "variant.o")
+        entry = commands[path]
+        proc = subprocess.run(build_args(entry, obj), cwd=entry["directory"],
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            print(f"FAIL {rel}: compile failed\n{proc.stderr}")
+            failed += 1
+            continue
+        dis = subprocess.run(["objdump", "-d", "--no-show-raw-insn", obj],
+                             capture_output=True, text=True, check=True).stdout
+    fused = sorted({m.group(0) for m in fma.finditer(dis)})
+    if fused:
+        failed += 1
+        print(f"FAIL {rel}: fused multiply-add in an ISA variant: {', '.join(fused)}")
+    else:
+        print(f"ok   {rel}: no fused multiply-add in its ISA variants")
+
+print(f"simd_audit: {audited} omp simd loops audited, "
+      f"{len(isa_files)} ISA-variant files checked for FMA, {failed} failing")
 sys.exit(1 if failed else 0)
 PY

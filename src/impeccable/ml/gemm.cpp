@@ -1,28 +1,104 @@
 #include "impeccable/ml/gemm.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "impeccable/ml/scratch.hpp"
 #include "impeccable/obs/recorder.hpp"
 
 namespace impeccable::ml {
 
 namespace {
 
-/// Register-tile shape of the micro-kernel: kTileRows rows of C by
-/// kTileCols columns, 32 accumulators held across a whole K panel.
+/// Register-tile height of the micro-kernel: kTileRows rows of C share each
+/// streamed row of B.
 constexpr int kTileRows = 4;
-constexpr int kTileCols = 8;
 
-/// C rows [i0, i1) += alpha * A·B over K panels; A is (M×K, lda) row-major,
-/// B is (K×N, ldb) row-major. Every C element sees the same operations in
-/// the same order whatever the row partition or tile it lands in — beta
-/// scaling, then c += (alpha·a[k])·b[k][j] for k ascending — which is the
-/// determinism contract and makes the result bitwise equal to gemm_naive.
-void gemm_rows_nn(std::size_t i0, std::size_t i1, int N, int K, float alpha,
-                  const float* A, int lda, const float* B, int ldb, float beta,
-                  float* C, int ldc, int kc) {
+/// Largest K panel: alpha·A for a 4-row tile and one panel is staged in a
+/// kTileRows × kPanelMax stack buffer. Panel edges only decide when C
+/// partial sums go through memory, never an element's operation order.
+constexpr int kPanelMax = 256;
+
+/// The NN-case operands of one gemm call, after transposed operands were
+/// packed: A is (M×K, lda) row-major, B is (K×N, ldb) row-major.
+struct NnArgs {
+  int N, K;
+  float alpha;
+  const float* A;
+  int lda;
+  const float* B;
+  int ldb;
+  float beta;
+  float* C;
+  int ldc;
+  int kc;
+};
+
+/// A vector of kLanes floats (GCC/Clang vector extension): one SSE, AVX or
+/// AVX-512 register in the variant built for that ISA, lowered piecewise
+/// elsewhere. Lane l of `t += x * b` is the scalar c += x·b[l], one IEEE
+/// multiply then one add (no FMA: none is enabled and contraction is off).
+template <int kLanes>
+struct Lanes {
+  typedef float type __attribute__((vector_size(kLanes * sizeof(float))));
+};
+
+/// One kTileRows × (2·kLanes) register tile of C over one K panel of `kn`
+/// steps: load the tile, add x[r][k]·b[k][jj] for k ascending, store it.
+/// Its eight accumulators stay in registers for the whole panel. Row r of
+/// the staged alpha·A panel is x + r·kPanelMax; b is the panel's first B row
+/// at the tile's first column; c0..c3 are the C rows at that column.
+template <int kLanes>
+[[gnu::always_inline]] inline void tile(const float* x, int kn,
+                                        const float* b, std::size_t ldb,
+                                        float* c0, float* c1, float* c2,
+                                        float* c3) {
+  using V = typename Lanes<kLanes>::type;
+  float* const c[kTileRows] = {c0, c1, c2, c3};
+  V t[2 * kTileRows];
+#pragma GCC unroll 4
+  for (int r = 0; r < kTileRows; ++r) {
+    std::memcpy(&t[2 * r], c[r], sizeof(V));
+    std::memcpy(&t[2 * r + 1], c[r] + kLanes, sizeof(V));
+  }
+  for (int k = 0; k < kn; ++k) {
+    V b0, b1;
+    std::memcpy(&b0, b + static_cast<std::size_t>(k) * ldb, sizeof(V));
+    std::memcpy(&b1, b + static_cast<std::size_t>(k) * ldb + kLanes, sizeof(V));
+#pragma GCC unroll 4
+    for (int r = 0; r < kTileRows; ++r) {
+      const float xr = x[r * kPanelMax + k];
+      t[2 * r] += xr * b0;
+      t[2 * r + 1] += xr * b1;
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < kTileRows; ++r) {
+    std::memcpy(c[r], &t[2 * r], sizeof(V));
+    std::memcpy(c[r] + kLanes, &t[2 * r + 1], sizeof(V));
+  }
+}
+
+/// C rows [i0, i1) += alpha * A·B over K panels. Every C element sees the
+/// same operations in the same order whatever the row partition, panel or
+/// tile width it lands in — beta scaling, then c += (alpha·a[k])·b[k][j] for
+/// k ascending — which is the determinism contract and makes the result
+/// bitwise equal to gemm_naive. This is the one tile source: always inlined
+/// into each ISA variant below, whose register width is kLanes floats.
+template <int kLanes>
+[[gnu::always_inline]] inline void gemm_rows_nn(const NnArgs& g,
+                                                std::size_t i0,
+                                                std::size_t i1) {
+  const int N = g.N, K = g.K, lda = g.lda, ldc = g.ldc;
+  const std::size_t ldb = static_cast<std::size_t>(g.ldb);
+  const float alpha = g.alpha, beta = g.beta;
+  const float* const A = g.A;
+  const float* const B = g.B;
+  float* const C = g.C;
+  const int kc = std::min(g.kc, kPanelMax);
   for (std::size_t i = i0; i < i1; ++i) {
     float* c = C + i * static_cast<std::size_t>(ldc);
     if (beta == 0.0f)
@@ -30,60 +106,36 @@ void gemm_rows_nn(std::size_t i0, std::size_t i1, int N, int K, float alpha,
     else if (beta != 1.0f)
       for (int j = 0; j < N; ++j) c[j] *= beta;
   }
+  alignas(64) float x[kTileRows * kPanelMax];
   for (int k0 = 0; k0 < K; k0 += kc) {
-    const int k1 = std::min(K, k0 + kc);
+    const int k1 = std::min(K, k0 + kc), kn = k1 - k0;
+    const float* bp = B + static_cast<std::size_t>(k0) * ldb;
     std::size_t i = i0;
     for (; i + kTileRows <= i1; i += kTileRows) {
-      const float* a0 = A + (i + 0) * static_cast<std::size_t>(lda);
-      const float* a1 = A + (i + 1) * static_cast<std::size_t>(lda);
-      const float* a2 = A + (i + 2) * static_cast<std::size_t>(lda);
-      const float* a3 = A + (i + 3) * static_cast<std::size_t>(lda);
-      float* c0 = C + (i + 0) * static_cast<std::size_t>(ldc);
-      float* c1 = C + (i + 1) * static_cast<std::size_t>(ldc);
-      float* c2 = C + (i + 2) * static_cast<std::size_t>(ldc);
-      float* c3 = C + (i + 3) * static_cast<std::size_t>(ldc);
-      int j = 0;
-      // 4×8 register tile: C is loaded and stored once per K panel, not
-      // once per k.
-      for (; j + kTileCols <= N; j += kTileCols) {
-        float t0[kTileCols], t1[kTileCols], t2[kTileCols], t3[kTileCols];
-        std::copy(c0 + j, c0 + j + kTileCols, t0);
-        std::copy(c1 + j, c1 + j + kTileCols, t1);
-        std::copy(c2 + j, c2 + j + kTileCols, t2);
-        std::copy(c3 + j, c3 + j + kTileCols, t3);
-        for (int k = k0; k < k1; ++k) {
-          const float x0 = alpha * a0[k];
-          const float x1 = alpha * a1[k];
-          const float x2 = alpha * a2[k];
-          const float x3 = alpha * a3[k];
-          const float* b = B + static_cast<std::size_t>(k) * ldb + j;
-#pragma omp simd
-          for (int jj = 0; jj < kTileCols; ++jj) {
-            t0[jj] += x0 * b[jj];
-            t1[jj] += x1 * b[jj];
-            t2[jj] += x2 * b[jj];
-            t3[jj] += x3 * b[jj];
-          }
-        }
-        std::copy(t0, t0 + kTileCols, c0 + j);
-        std::copy(t1, t1 + kTileCols, c1 + j);
-        std::copy(t2, t2 + kTileCols, c2 + j);
-        std::copy(t3, t3 + kTileCols, c3 + j);
+      // Stage alpha·a[k] once per panel: every column tile reuses it.
+      float* c[kTileRows];
+      for (int r = 0; r < kTileRows; ++r) {
+        const float* a = A + (i + r) * static_cast<std::size_t>(lda) + k0;
+        for (int k = 0; k < kn; ++k) x[r * kPanelMax + k] = alpha * a[k];
+        c[r] = C + (i + r) * static_cast<std::size_t>(ldc);
       }
+      // Register tiles: C is loaded and stored once per K panel, not once
+      // per k. The variant's widest tiles first, then 8-column ones.
+      int j = 0;
+      for (; j + 2 * kLanes <= N; j += 2 * kLanes)
+        tile<kLanes>(x, kn, bp + j, ldb, c[0] + j, c[1] + j, c[2] + j,
+                     c[3] + j);
+      if constexpr (kLanes > 4)
+        for (; j + 8 <= N; j += 8)
+          tile<4>(x, kn, bp + j, ldb, c[0] + j, c[1] + j, c[2] + j, c[3] + j);
       // Leftover columns: 4 rows of A share each streamed row of B.
       if (j < N) {
-        for (int k = k0; k < k1; ++k) {
-          const float x0 = alpha * a0[k];
-          const float x1 = alpha * a1[k];
-          const float x2 = alpha * a2[k];
-          const float x3 = alpha * a3[k];
-          const float* b = B + static_cast<std::size_t>(k) * ldb;
+        for (int k = 0; k < kn; ++k) {
+          const float* b = bp + static_cast<std::size_t>(k) * ldb;
           for (int jr = j; jr < N; ++jr) {
             const float bv = b[jr];
-            c0[jr] += x0 * bv;
-            c1[jr] += x1 * bv;
-            c2[jr] += x2 * bv;
-            c3[jr] += x3 * bv;
+            for (int r = 0; r < kTileRows; ++r)
+              c[r][jr] += x[r * kPanelMax + k] * bv;
           }
         }
       }
@@ -91,34 +143,82 @@ void gemm_rows_nn(std::size_t i0, std::size_t i1, int N, int K, float alpha,
     // Leftover rows.
     for (; i < i1; ++i) {
       const float* a = A + i * static_cast<std::size_t>(lda);
-      float* c = C + i * static_cast<std::size_t>(ldc);
+      float* __restrict c = C + i * static_cast<std::size_t>(ldc);
       for (int k = k0; k < k1; ++k) {
-        const float x = alpha * a[k];
-        const float* b = B + static_cast<std::size_t>(k) * ldb;
-        for (int j = 0; j < N; ++j) c[j] += x * b[j];
+        const float xk = alpha * a[k];
+        const float* __restrict b = B + static_cast<std::size_t>(k) * ldb;
+#pragma omp simd
+        for (int j = 0; j < N; ++j) c[j] += xk * b[j];
       }
     }
   }
 }
 
+// The ISA variants of the tile. Target attributes rather than ifunc or
+// target_clones: a plain function pointer resolved at run time is what the
+// sanitizer builds handle. None of them enables FMA.
+using RowsKernel = void (*)(const NnArgs&, std::size_t, std::size_t);
+
+void rows_baseline(const NnArgs& g, std::size_t i0, std::size_t i1) {
+  gemm_rows_nn<4>(g, i0, i1);
+}
+
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] void rows_avx2(const NnArgs& g, std::size_t i0,
+                                       std::size_t i1) {
+  gemm_rows_nn<8>(g, i0, i1);
+}
+
+[[gnu::target("avx512f")]] void rows_avx512f(const NnArgs& g, std::size_t i0,
+                                             std::size_t i1) {
+  gemm_rows_nn<16>(g, i0, i1);
+}
+#endif
+
+bool host_runs(GemmIsa isa) {
+#if defined(__x86_64__)
+  switch (isa) {
+    case GemmIsa::Baseline:
+      return true;
+    case GemmIsa::Avx2:
+      return __builtin_cpu_supports("avx2");
+    case GemmIsa::Avx512f:
+      return __builtin_cpu_supports("avx512f");
+  }
+  return false;
+#else
+  return isa == GemmIsa::Baseline;
+#endif
+}
+
+RowsKernel rows_kernel(GemmIsa isa) {
+  switch (isa) {
+#if defined(__x86_64__)
+    case GemmIsa::Avx512f:
+      return rows_avx512f;
+    case GemmIsa::Avx2:
+      return rows_avx2;
+#endif
+    default:
+      return rows_baseline;
+  }
+}
+
 /// Pack op(X) (an M×K logical matrix stored transposed as K×M with leading
 /// dimension ld) into a contiguous M×K row-major buffer.
-void pack_transposed(const float* X, int ld, int rows, int cols,
-                     std::vector<float>& out) {
+void pack_transposed(const float* X, int ld, int rows, int cols, float* out) {
   // X is cols×rows stored; out(r, c) = X(c, r).
-  out.resize(static_cast<std::size_t>(rows) * cols);
   for (int c = 0; c < cols; ++c) {
     const float* src = X + static_cast<std::size_t>(c) * ld;
-    float* dst = out.data() + c;
+    float* dst = out + c;
     for (int r = 0; r < rows; ++r) dst[static_cast<std::size_t>(r) * cols] = src[r];
   }
 }
 
-}  // namespace
-
-void gemm(Trans ta, Trans tb, int M, int N, int K, float alpha, const float* A,
-          int lda, const float* B, int ldb, float beta, float* C, int ldc,
-          common::ThreadPool* pool, const GemmTiling& tiling) {
+void gemm_dispatch(RowsKernel rows, Trans ta, Trans tb, int M, int N, int K,
+                   float alpha, const float* A, int lda, const float* B,
+                   int ldb, float beta, float* C, int ldc,
+                   common::ThreadPool* pool, const GemmTiling& tiling) {
   if (M < 0 || N < 0 || K < 0)
     throw std::invalid_argument("gemm: negative dimension");
   if (M == 0 || N == 0) return;
@@ -130,40 +230,94 @@ void gemm(Trans ta, Trans tb, int M, int N, int K, float alpha, const float* A,
              static_cast<std::uint64_t>(N) * static_cast<std::uint64_t>(K));
   }
 
-  // Normalize to the NN case by packing transposed operands once.
-  std::vector<float> a_pack, b_pack;
+  // Normalize to the NN case by packing transposed operands once, into this
+  // thread's reused scratch: the pool's chunk runners only read it, and
+  // while this thread waits in parallel_for it runs only this call's
+  // chunks, which never pack.
+  thread_local std::vector<float> a_slot, b_slot;
+  Scratch a_pack, b_pack;
   if (ta == Trans::Yes) {
     // Stored K×M (lda); pack to M×K.
-    pack_transposed(A, lda, M, K, a_pack);
-    A = a_pack.data();
+    float* p = a_pack.get(a_slot, static_cast<std::size_t>(M) * K);
+    pack_transposed(A, lda, M, K, p);
+    A = p;
     lda = K;
   }
   if (tb == Trans::Yes) {
     // Stored N×K (ldb); pack to K×N.
-    pack_transposed(B, ldb, K, N, b_pack);
-    B = b_pack.data();
+    float* p = b_pack.get(b_slot, static_cast<std::size_t>(K) * N);
+    pack_transposed(B, ldb, K, N, p);
+    B = p;
     ldb = N;
   }
+  const NnArgs args{N, K, alpha, A, lda, B, ldb, beta, C, ldc,
+                    std::max(1, tiling.kc)};
   if (K == 0) {
     // Pure beta scaling.
-    gemm_rows_nn(0, static_cast<std::size_t>(M), N, 0, alpha, A, lda, B, ldb,
-                 beta, C, ldc, 1);
+    rows(args, 0, static_cast<std::size_t>(M));
     return;
   }
 
-  const int kc = std::max(1, tiling.kc);
   const std::size_t mc = static_cast<std::size_t>(std::max(1, tiling.mc));
   const std::size_t blocks = (static_cast<std::size_t>(M) + mc - 1) / mc;
   auto run_block = [&](std::size_t blk) {
     const std::size_t i0 = blk * mc;
-    const std::size_t i1 = std::min<std::size_t>(M, i0 + mc);
-    gemm_rows_nn(i0, i1, N, K, alpha, A, lda, B, ldb, beta, C, ldc, kc);
+    rows(args, i0, std::min<std::size_t>(M, i0 + mc));
   };
   if (pool && pool->size() > 1 && blocks > 1) {
     pool->parallel_for(0, blocks, run_block, 1);
   } else {
     for (std::size_t blk = 0; blk < blocks; ++blk) run_block(blk);
   }
+}
+
+}  // namespace
+
+const char* gemm_isa_name(GemmIsa isa) {
+  switch (isa) {
+    case GemmIsa::Avx2:
+      return "avx2";
+    case GemmIsa::Avx512f:
+      return "avx512f";
+    case GemmIsa::Baseline:
+      break;
+  }
+  return "baseline";
+}
+
+GemmIsa gemm_isa() {
+  static const GemmIsa isa = [] {
+    for (GemmIsa best : {GemmIsa::Avx512f, GemmIsa::Avx2})
+      if (host_runs(best)) return best;
+    return GemmIsa::Baseline;
+  }();
+  return isa;
+}
+
+std::vector<GemmIsa> gemm_isas() {
+  std::vector<GemmIsa> out;
+  for (GemmIsa isa : {GemmIsa::Baseline, GemmIsa::Avx2, GemmIsa::Avx512f})
+    if (host_runs(isa)) out.push_back(isa);
+  return out;
+}
+
+void gemm(Trans ta, Trans tb, int M, int N, int K, float alpha, const float* A,
+          int lda, const float* B, int ldb, float beta, float* C, int ldc,
+          common::ThreadPool* pool, const GemmTiling& tiling) {
+  static const RowsKernel rows = rows_kernel(gemm_isa());
+  gemm_dispatch(rows, ta, tb, M, N, K, alpha, A, lda, B, ldb, beta, C, ldc,
+                pool, tiling);
+}
+
+void gemm_on(GemmIsa isa, Trans ta, Trans tb, int M, int N, int K,
+             float alpha, const float* A, int lda, const float* B, int ldb,
+             float beta, float* C, int ldc, common::ThreadPool* pool,
+             const GemmTiling& tiling) {
+  if (!host_runs(isa))
+    throw std::invalid_argument(std::string("gemm_on: host cannot run ") +
+                                gemm_isa_name(isa));
+  gemm_dispatch(rows_kernel(isa), ta, tb, M, N, K, alpha, A, lda, B, ldb, beta,
+                C, ldc, pool, tiling);
 }
 
 void gemm_naive(Trans ta, Trans tb, int M, int N, int K, float alpha,

@@ -5,19 +5,32 @@
 //
 // Layout is row-major throughout. The kernel computes
 //     C (M×N) = alpha * op(A) * op(B) + beta * C
-// with op ∈ {identity, transpose}. Transposed operands are packed into a
-// contiguous scratch panel once per call, then a 4-row × 8-column register-
-// tile micro-kernel streams over cache-sized K panels (GemmTiling): the 32
-// accumulators stay in registers for a whole panel, so C is loaded and
-// stored once per panel. Leftover rows and columns run plain scalar loops.
-// Row panels of C can be fanned out over a ThreadPool.
+// with op ∈ {identity, transpose}. Transposed operands are packed into
+// reused per-thread scratch once per call, then a register-tile
+// micro-kernel — 4 rows of C × 2 vectors — streams over cache-sized K panels
+// (GemmTiling): its eight vector accumulators stay in registers for a whole
+// panel, so C is loaded and stored once per panel. Leftover columns run
+// narrower tiles, then scalar loops; leftover rows run a one-row loop. Row
+// panels of C can be fanned out over a ThreadPool.
+//
+// ISA dispatch: the one tile source is compiled three times on x86-64 —
+// for the build's baseline (4×8 tiles), for AVX2 (4×16) and for AVX-512F
+// (4×32) — and gemm() runs the widest variant the host supports, resolved
+// once per process from __builtin_cpu_supports (other targets build the
+// baseline variant only).
+// No variant enables FMA and the file builds with -ffp-contract=off, so the
+// wider vectors change how many C columns one instruction updates, never
+// the IEEE multiply and add each element sees: the bits do not depend on
+// the ISA.
 //
 // Determinism contract: every C element sees beta scaling, then
-// c += (alpha·a[k])·b[k][j] for k ascending, whatever tile, panel or thread
-// it lands in — results are bit-identical with a serial run and with
-// gemm_naive. The order also matches the naive bias-first ascending-k loops
+// c += (alpha·a[k])·b[k][j] for k ascending, whatever ISA variant, tile,
+// panel or thread it lands in — results are bit-identical with a serial run
+// and with gemm_naive. The order also matches the naive bias-first ascending-k loops
 // the layers used before this kernel existed, so trained weights are
 // preserved across the rewrite.
+
+#include <vector>
 
 #include "impeccable/common/thread_pool.hpp"
 
@@ -36,6 +49,26 @@ struct GemmTiling {
 void gemm(Trans ta, Trans tb, int M, int N, int K, float alpha, const float* A,
           int lda, const float* B, int ldb, float beta, float* C, int ldc,
           common::ThreadPool* pool = nullptr, const GemmTiling& tiling = {});
+
+/// Instruction-set variant of the GEMM tile (see the header comment).
+enum class GemmIsa { Baseline, Avx2, Avx512f };
+
+/// "baseline", "avx2" or "avx512f".
+const char* gemm_isa_name(GemmIsa isa);
+
+/// The variant gemm() runs on this host.
+GemmIsa gemm_isa();
+
+/// Every variant this build carries that the host can run, baseline first
+/// (tests and benches only).
+std::vector<GemmIsa> gemm_isas();
+
+/// gemm() on a given variant; throws std::invalid_argument if the host
+/// cannot run it (tests and benches only).
+void gemm_on(GemmIsa isa, Trans ta, Trans tb, int M, int N, int K,
+             float alpha, const float* A, int lda, const float* B, int ldb,
+             float beta, float* C, int ldc, common::ThreadPool* pool = nullptr,
+             const GemmTiling& tiling = {});
 
 /// Naive triple-loop reference (tests and benches only).
 void gemm_naive(Trans ta, Trans tb, int M, int N, int K, float alpha,

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "impeccable/ml/gemm.hpp"
+#include "impeccable/ml/scratch.hpp"
 
 namespace impeccable::ml {
 
@@ -73,20 +74,34 @@ std::vector<Param> Dense::params() {
 
 // ---------------------------------------------------------------- ReLU
 
+// The elementwise layers are branch-free selects over __restrict pointers,
+// so each `omp simd` loop vectorizes (scripts/simd_audit.sh) instead of
+// paying a mispredicted branch per activation. NaN > 0 and -0.0f > 0 are
+// false, so both map to +0.0f.
+
 Tensor ReLU::forward(const Tensor& x) {
   mask_ = Tensor(x.shape());
   Tensor y(x.shape());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const bool on = x[i] > 0.0f;
-    mask_[i] = on ? 1.0f : 0.0f;
-    y[i] = on ? x[i] : 0.0f;
+  const float* __restrict in = x.data();
+  float* __restrict mask = mask_.data();
+  float* __restrict out = y.data();
+  const std::size_t n = x.size();
+#pragma omp simd
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool on = in[i] > 0.0f;
+    mask[i] = on ? 1.0f : 0.0f;
+    out[i] = on ? in[i] : 0.0f;
   }
   return y;
 }
 
 Tensor ReLU::infer(const Tensor& x) const {
   Tensor y(x.shape());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+  const float* __restrict in = x.data();
+  float* __restrict out = y.data();
+  const std::size_t n = x.size();
+#pragma omp simd
+  for (std::size_t i = 0; i < n; ++i) out[i] = in[i] > 0.0f ? in[i] : 0.0f;
   return y;
 }
 
@@ -124,35 +139,57 @@ Tensor Sigmoid::backward(const Tensor& grad_out) {
 
 namespace {
 
-/// Unfold one image (cin, h, w) into a (cin*9) × (h*w) column matrix for the
-/// 3x3 same-padding convolution. Row k = ci*9 + (di+1)*3 + (dj+1) holds the
-/// input shifted by (di, dj), zero-padded — the k index matches the
-/// (Cout, Cin, 3, 3) weight layout flattened per output channel.
-void im2col3x3(const float* x, int cin, int h, int w, float* col) {
+/// Floats of a zero-bordered copy of one (cin, h, w) image: one
+/// (h + 2) × (w + 2) plane per channel.
+std::size_t padded_size(int cin, int h, int w) {
+  return static_cast<std::size_t>(cin) * (h + 2) * (w + 2);
+}
+
+/// Copy one image (cin, h, w) into `pad` with a one-pixel zero border.
+void pad3x3(const float* x, int cin, int h, int w, float* pad) {
   const std::size_t hw = static_cast<std::size_t>(h) * w;
+  const std::size_t pw = static_cast<std::size_t>(w) + 2;
+  const std::size_t pplane = (static_cast<std::size_t>(h) + 2) * pw;
+  std::fill(pad, pad + padded_size(cin, h, w), 0.0f);
+  for (int ci = 0; ci < cin; ++ci)
+    for (int i = 0; i < h; ++i) {
+      const float* src = x + ci * hw + static_cast<std::size_t>(i) * w;
+      std::copy(src, src + w, pad + ci * pplane + (i + 1) * pw + 1);
+    }
+}
+
+/// Unfold output rows [i0, i1) of a padded image (pad3x3) into a
+/// (cin*9) × ((i1 - i0)*w) column matrix for the 3x3 same-padding
+/// convolution. Row k = ci*9 + (di+1)*3 + (dj+1) holds the input shifted by
+/// (di, dj), zero-padded — the k index matches the (Cout, Cin, 3, 3) weight
+/// layout flattened per output channel. The zero border makes every row of
+/// `col` plain row copies with no edge cases.
+void im2col3x3(const float* pad, int cin, int h, int w, int i0, int i1,
+               float* col) {
+  const std::size_t pw = static_cast<std::size_t>(w) + 2;
+  const std::size_t pplane = (static_cast<std::size_t>(h) + 2) * pw;
+  const std::size_t cols = static_cast<std::size_t>(i1 - i0) * w;
   for (int ci = 0; ci < cin; ++ci) {
-    const float* plane = x + static_cast<std::size_t>(ci) * hw;
-    for (int di = -1; di <= 1; ++di) {
-      for (int dj = -1; dj <= 1; ++dj) {
-        float* row = col + static_cast<std::size_t>(ci * 9 + (di + 1) * 3 +
-                                                    (dj + 1)) * hw;
-        const int j0 = std::max(0, -dj), j1 = std::min(w, w - dj);
-        for (int i = 0; i < h; ++i) {
-          float* dst = row + static_cast<std::size_t>(i) * w;
-          const int ii = i + di;
-          if (ii < 0 || ii >= h || j0 >= j1) {
-            std::fill(dst, dst + w, 0.0f);
-            continue;
-          }
-          std::fill(dst, dst + j0, 0.0f);
-          const float* src = plane + static_cast<std::size_t>(ii) * w;
-          std::copy(src + j0 + dj, src + j1 + dj, dst + j0);
-          std::fill(dst + j1, dst + w, 0.0f);
+    for (int di = 0; di < 3; ++di) {
+      for (int dj = 0; dj < 3; ++dj) {
+        const float* src = pad + ci * pplane + (i0 + di) * pw + dj;
+        float* row = col + static_cast<std::size_t>(ci * 9 + di * 3 + dj) * cols;
+        for (int i = 0; i < i1 - i0; ++i) {
+          const float* __restrict s = src + static_cast<std::size_t>(i) * pw;
+          float* __restrict d = row + static_cast<std::size_t>(i) * w;
+#pragma omp simd
+          for (int j = 0; j < w; ++j) d[j] = s[j];
         }
       }
     }
   }
 }
+
+/// Column-matrix floats per block in Conv3x3 inference: the image is
+/// unfolded a few output rows at a time, so the block written and then
+/// multiplied stays cache-resident instead of streaming the whole unfolded
+/// image (9× the input) through memory, and fits one retained scratch slot.
+constexpr std::size_t kColBlockFloats = Scratch::kRetainFloats;
 
 /// Fold a (cin*9) × (h*w) gradient column matrix back into one image's
 /// (cin, h, w) input gradient, summing overlapping taps and dropping the
@@ -195,20 +232,34 @@ Tensor Conv3x3::apply(const Tensor& x) const {
   const int kdim = cin * 9;
   const std::size_t hw = static_cast<std::size_t>(h) * w;
   Tensor y({n, cout, h, w});
-  // Per image: Y_b (cout × hw) = bias + W (cout × cin*9) · im2col(x_b).
+  // Per image, a block of output rows at a time: Y_blk (cout × rows·w,
+  // row stride hw) = bias + W (cout × cin*9) · im2col(x_b, rows). Column
+  // blocking changes which GEMM call an output lands in, not its
+  // operations. The padded image and the block live in this thread's
+  // reused scratch: the per-image inference path allocates nothing here.
   // Images write disjoint output slabs, so fanning out over the pool keeps
   // results identical to the serial pass.
+  const int block_rows = static_cast<int>(std::max<std::size_t>(
+      1, kColBlockFloats / (static_cast<std::size_t>(kdim) * w)));
   auto run_image = [&](std::size_t b) {
-    std::vector<float> col(static_cast<std::size_t>(kdim) * hw);
-    im2col3x3(x.data() + b * cin * hw, cin, h, w, col.data());
+    thread_local std::vector<float> pad_slot, col_slot;
+    Scratch pad_buf, col_buf;
+    float* pad = pad_buf.get(pad_slot, padded_size(cin, h, w));
+    float* col = col_buf.get(
+        col_slot, static_cast<std::size_t>(kdim) * std::min(block_rows, h) * w);
+    pad3x3(x.data() + b * cin * hw, cin, h, w, pad);
     float* yb = y.data() + b * cout * hw;
     for (int co = 0; co < cout; ++co)
       std::fill(yb + static_cast<std::size_t>(co) * hw,
                 yb + static_cast<std::size_t>(co + 1) * hw,
                 bias[static_cast<std::size_t>(co)]);
-    gemm(Trans::No, Trans::No, cout, static_cast<int>(hw), kdim, 1.0f,
-         weight.data(), kdim, col.data(), static_cast<int>(hw), 1.0f, yb,
-         static_cast<int>(hw));
+    for (int i0 = 0; i0 < h; i0 += block_rows) {
+      const int i1 = std::min(h, i0 + block_rows);
+      im2col3x3(pad, cin, h, w, i0, i1, col);
+      gemm(Trans::No, Trans::No, cout, (i1 - i0) * w, kdim, 1.0f,
+           weight.data(), kdim, col, (i1 - i0) * w, 1.0f,
+           yb + static_cast<std::size_t>(i0) * w, static_cast<int>(hw));
+    }
   };
   common::ThreadPool* pool = compute_pool();
   if (pool && pool->size() > 1 && n > 1) {
@@ -253,8 +304,10 @@ Tensor Conv3x3::backward(const Tensor& grad_out) {
   // order so results never depend on the pool size:
   // dW += g_b · im2col(x_b)^T, db += row sums of g_b.
   std::vector<float> col(static_cast<std::size_t>(kdim) * hw);
+  std::vector<float> pad(padded_size(cin, h, w));
   for (std::size_t b = 0; b < static_cast<std::size_t>(n); ++b) {
-    im2col3x3(input_.data() + b * cin * hw, cin, h, w, col.data());
+    pad3x3(input_.data() + b * cin * hw, cin, h, w, pad.data());
+    im2col3x3(pad.data(), cin, h, w, 0, h, col.data());
     const float* gb = grad_out.data() + b * cout * hw;
     gemm(Trans::No, Trans::Yes, cout, kdim, static_cast<int>(hw), 1.0f, gb,
          static_cast<int>(hw), col.data(), static_cast<int>(hw), 1.0f,
@@ -274,32 +327,71 @@ std::vector<Param> Conv3x3::params() {
 
 // ---------------------------------------------------------------- MaxPool2
 
+// Each window is scanned (0,0), (0,1), (1,0), (1,1) from -1e30f with a
+// strict `v > best` select, so ties keep the first position and a NaN never
+// wins; `arg` starts at 0, the index reported when nothing beats -1e30f.
+
+namespace {
+
+/// One output row of 2x2 max pooling: window j covers r0[2j], r0[2j+1],
+/// r1[2j], r1[2j+1].
+void maxpool2_row(const float* __restrict r0, const float* __restrict r1,
+                  float* __restrict out, int ow) {
+#pragma omp simd
+  for (int j = 0; j < ow; ++j) {
+    float best = -1e30f;
+    best = r0[2 * j] > best ? r0[2 * j] : best;
+    best = r0[2 * j + 1] > best ? r0[2 * j + 1] : best;
+    best = r1[2 * j] > best ? r1[2 * j] : best;
+    best = r1[2 * j + 1] > best ? r1[2 * j + 1] : best;
+    out[j] = best;
+  }
+}
+
+/// maxpool2_row plus the flat input index of each maximum; `flat0` is the
+/// flat index of r0[0] and `w` the input row stride.
+void maxpool2_row_argmax(const float* __restrict r0, const float* __restrict r1,
+                         float* __restrict out, int* __restrict arg, int ow,
+                         int flat0, int w) {
+#pragma omp simd
+  for (int j = 0; j < ow; ++j) {
+    const int f = flat0 + 2 * j;
+    float best = -1e30f;
+    int at = 0;
+    bool take = r0[2 * j] > best;
+    best = take ? r0[2 * j] : best;
+    at = take ? f : at;
+    take = r0[2 * j + 1] > best;
+    best = take ? r0[2 * j + 1] : best;
+    at = take ? f + 1 : at;
+    take = r1[2 * j] > best;
+    best = take ? r1[2 * j] : best;
+    at = take ? f + w : at;
+    take = r1[2 * j + 1] > best;
+    best = take ? r1[2 * j + 1] : best;
+    at = take ? f + w + 1 : at;
+    out[j] = best;
+    arg[j] = at;
+  }
+}
+
+}  // namespace
+
 Tensor MaxPool2::apply(const Tensor& x, std::vector<int>* argmax) const {
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const int oh = h / 2, ow = w / 2;
   Tensor y({n, c, oh, ow});
   if (argmax) argmax->assign(y.size(), 0);
-  std::size_t out_idx = 0;
-  for (int b = 0; b < n; ++b) {
-    for (int ch = 0; ch < c; ++ch) {
-      for (int i = 0; i < oh; ++i) {
-        for (int j = 0; j < ow; ++j, ++out_idx) {
-          float best = -1e30f;
-          int best_flat = 0;
-          for (int di = 0; di < 2; ++di) {
-            for (int dj = 0; dj < 2; ++dj) {
-              const int ii = 2 * i + di, jj = 2 * j + dj;
-              const float v = x.at(b, ch, ii, jj);
-              if (v > best) {
-                best = v;
-                best_flat = ((b * c + ch) * h + ii) * w + jj;
-              }
-            }
-          }
-          y[out_idx] = best;
-          if (argmax) (*argmax)[out_idx] = best_flat;
-        }
-      }
+  for (int p = 0; p < n * c; ++p) {  // one (image, channel) plane at a time
+    for (int i = 0; i < oh; ++i) {
+      const int flat0 = (p * h + 2 * i) * w;
+      const float* r0 = x.data() + flat0;
+      const std::size_t o = (static_cast<std::size_t>(p) * oh + i) * ow;
+      if (argmax)
+        maxpool2_row_argmax(r0, r0 + w, y.data() + o, argmax->data() + o, ow,
+                            flat0, w);
+      else
+        maxpool2_row(r0, r0 + w, y.data() + o, ow);
     }
   }
   return y;

@@ -37,6 +37,13 @@ SurrogateModel::SurrogateModel(const SurrogateOptions& opts) : opts_(opts) {
   optimizer_ = std::make_unique<Adam>(net_.params(), opts.learning_rate);
 }
 
+void SurrogateModel::copy_image(const chem::Image& im, float* dst) const {
+  if (im.channels != opts_.channels || im.height != opts_.height ||
+      im.width != opts_.width)
+    throw std::invalid_argument("SurrogateModel: image shape mismatch");
+  std::copy(im.data.begin(), im.data.end(), dst);
+}
+
 void SurrogateModel::to_tensor(const std::vector<chem::Image>& images,
                                std::size_t begin, std::size_t count,
                                Tensor& x) const {
@@ -45,14 +52,15 @@ void SurrogateModel::to_tensor(const std::vector<chem::Image>& images,
       x.dim(3) != opts_.width)
     x = Tensor({static_cast<int>(count), opts_.channels, opts_.height,
                 opts_.width});
-  for (std::size_t b = 0; b < count; ++b) {
-    const chem::Image& im = images[begin + b];
-    if (im.channels != opts_.channels || im.height != opts_.height ||
-        im.width != opts_.width)
-      throw std::invalid_argument("SurrogateModel: image shape mismatch");
-    std::copy(im.data.begin(), im.data.end(),
-              x.data() + b * im.data.size());
-  }
+  const std::size_t per_image = x.size() / count;
+  for (std::size_t b = 0; b < count; ++b)
+    copy_image(images[begin + b], x.data() + b * per_image);
+}
+
+float SurrogateModel::infer_one(const chem::Image& image) const {
+  Tensor x({1, opts_.channels, opts_.height, opts_.width});
+  copy_image(image, x.data());
+  return net_.infer(x)[0];
 }
 
 TrainReport SurrogateModel::train(const std::vector<chem::Image>& images,
@@ -119,8 +127,9 @@ TrainReport SurrogateModel::train(const std::vector<chem::Image>& images,
 }
 
 float SurrogateModel::predict(const chem::Image& image) const {
-  std::vector<chem::Image> one{image};
-  return predict_batch(one)[0];
+  obs::Span span(obs::cat::kMl, "surrogate-predict");
+  span.arg("images", 1.0);
+  return infer_one(image);
 }
 
 std::vector<float> SurrogateModel::predict_batch(
@@ -133,11 +142,7 @@ std::vector<float> SurrogateModel::predict_batch(
   // 100 KB, L2-resident) and the inner layers see n == 1, so they do not
   // fan out again. No shared mutable state: concurrent calls are race-free,
   // and the output is bitwise identical for any pool size.
-  auto run_image = [&](std::size_t i) {
-    Tensor x;
-    to_tensor(images, i, 1, x);
-    out[i] = net_.infer(x)[0];
-  };
+  auto run_image = [&](std::size_t i) { out[i] = infer_one(images[i]); };
   if (common::ThreadPool* pool = common::compute_pool()) {
     pool->parallel_for(0, images.size(), run_image, 1);
   } else {

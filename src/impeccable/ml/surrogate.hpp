@@ -76,10 +76,14 @@ class SurrogateModel {
   void load_weights(const std::string& path);
 
  private:
+  /// Copy one image into `dst`; throws unless its shape matches the model.
+  void copy_image(const chem::Image& image, float* dst) const;
   /// Pack `count` images starting at `begin` into `x`, reusing its buffer
   /// when the shape already matches (one scratch Tensor serves all batches).
   void to_tensor(const std::vector<chem::Image>& images, std::size_t begin,
                  std::size_t count, Tensor& x) const;
+  /// The cache-free infer() path on a 1-image tensor: one image's score.
+  float infer_one(const chem::Image& image) const;
 
   SurrogateOptions opts_;
   Sequential net_;

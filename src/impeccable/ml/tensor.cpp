@@ -48,7 +48,13 @@ void Tensor::fill(float v) {
 
 Tensor& Tensor::operator+=(const Tensor& o) {
   check_same_shape(*this, o, "Tensor::operator+=");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += o.data_[i];
+  // No __restrict: `t += t` is legal. Each iteration touches only index i,
+  // so the omp simd promise holds either way.
+  float* a = data_.data();
+  const float* b = o.data_.data();
+  const std::size_t n = data_.size();
+#pragma omp simd
+  for (std::size_t i = 0; i < n; ++i) a[i] += b[i];
   return *this;
 }
 

@@ -1,11 +1,14 @@
 // Blocked GEMM tests: exhaustive small-shape equivalence against the naive
 // reference (all transpose combinations, non-multiple-of-tile shapes,
-// alpha/beta variants), bitwise equality with the naive reference and
-// across pool sizes, and a Dense layer gradient-check regression over the
+// alpha/beta variants), bitwise equality with the naive reference on every
+// ISA variant the host runs and across pool sizes, Conv3x3 bitwise against
+// naive im2col + GEMM, and a Dense layer gradient-check regression over the
 // GEMM-backed forward/backward.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -114,16 +117,23 @@ TEST(Gemm, ResultIsBitwiseInvariantAcrossPoolSizes) {
 }
 
 TEST(Gemm, BitwiseEqualsNaive) {
-  // Every C element sees the same operations in the same order in the 4×8
+  // Every C element sees the same operations in the same order in every
   // register tile, the leftover-row/column loops and gemm_naive, so the
-  // kernel is pinned byte for byte, not to a tolerance.
+  // kernel is pinned byte for byte, not to a tolerance — on every ISA
+  // variant the host runs, not only the one gemm() dispatches to.
+  const std::vector<ml::GemmIsa> isas = ml::gemm_isas();
+  ASSERT_FALSE(isas.empty());
+  EXPECT_EQ(isas.front(), ml::GemmIsa::Baseline);
+  EXPECT_NE(std::find(isas.begin(), isas.end(), ml::gemm_isa()), isas.end());
   struct Shape {
     int M, N, K;
   };
   const Shape shapes[] = {
       {8, 1024, 36},  {16, 256, 72}, {16, 64, 144},  // the surrogate's convs
+      {1, 32, 256},   // the surrogate's first dense layer at one image
       {37, 29, 300},  // M % 4 != 0, N % 8 != 0, K > kc (two panels)
       {67, 13, 530},  // three mc row panels, three K panels
+      {12, 61, 9},    // every tile width, then scalar columns
       {3, 7, 5},      // smaller than one tile in both directions
       {4, 8, 1},      // exactly one tile, one k
   };
@@ -145,21 +155,65 @@ TEST(Gemm, BitwiseEqualsNaive) {
             auto ref = C0;
             ml::gemm_naive(ta, tb, sh.M, sh.N, sh.K, alpha, A.data(), lda,
                            B.data(), ldb, beta, ref.data(), sh.N);
-            for (const ml::GemmTiling& tiling : {ml::GemmTiling{}, tiny})
-              for (ic::ThreadPool* pool : {static_cast<ic::ThreadPool*>(nullptr),
-                                           &pool2, &pool8}) {
-                auto got = C0;
-                ml::gemm(ta, tb, sh.M, sh.N, sh.K, alpha, A.data(), lda,
-                         B.data(), ldb, beta, got.data(), sh.N, pool, tiling);
-                ASSERT_EQ(std::memcmp(ref.data(), got.data(),
-                                      ref.size() * sizeof(float)), 0)
-                    << "M=" << sh.M << " N=" << sh.N << " K=" << sh.K
-                    << " ta=" << (ta == ml::Trans::Yes)
-                    << " tb=" << (tb == ml::Trans::Yes) << " alpha=" << alpha
-                    << " beta=" << beta << " kc=" << tiling.kc
-                    << " pool=" << (pool ? pool->size() : 0);
-              }
+            for (const ml::GemmIsa isa : isas)
+              for (const ml::GemmTiling& tiling : {ml::GemmTiling{}, tiny})
+                for (ic::ThreadPool* pool :
+                     {static_cast<ic::ThreadPool*>(nullptr), &pool2, &pool8}) {
+                  auto got = C0;
+                  ml::gemm_on(isa, ta, tb, sh.M, sh.N, sh.K, alpha, A.data(),
+                              lda, B.data(), ldb, beta, got.data(), sh.N, pool,
+                              tiling);
+                  ASSERT_EQ(std::memcmp(ref.data(), got.data(),
+                                        ref.size() * sizeof(float)), 0)
+                      << ml::gemm_isa_name(isa) << " M=" << sh.M
+                      << " N=" << sh.N << " K=" << sh.K
+                      << " ta=" << (ta == ml::Trans::Yes)
+                      << " tb=" << (tb == ml::Trans::Yes) << " alpha=" << alpha
+                      << " beta=" << beta << " kc=" << tiling.kc
+                      << " pool=" << (pool ? pool->size() : 0);
+                }
           }
+  }
+}
+
+TEST(Gemm, Conv3x3BitwiseEqualsIm2colNaive) {
+  // Conv3x3 unfolds each image a block of output rows at a time from a
+  // zero-bordered copy. Against a full naive im2col (padding taps included
+  // as explicit zeros) and gemm_naive, infer() and forward() are equal byte
+  // for byte: 24×21 is blocked with a ragged last block and ragged rows.
+  for (const auto& [cin, cout, h, w] :
+       {std::array<int, 4>{4, 6, 24, 21}, std::array<int, 4>{4, 8, 32, 32},
+        std::array<int, 4>{3, 5, 1, 1}}) {
+    ic::Rng rng(static_cast<std::uint64_t>(cin * 1000 + h));
+    ml::Conv3x3 conv(cin, cout, rng);
+    for (std::size_t i = 0; i < conv.bias.size(); ++i)
+      conv.bias[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    const int n = 2, kdim = cin * 9, hw = h * w;
+    const ml::Tensor x = ml::Tensor::randn({n, cin, h, w}, rng, 1.0f);
+    std::vector<float> ref(static_cast<std::size_t>(n) * cout * hw);
+    std::vector<float> col(static_cast<std::size_t>(kdim) * hw);
+    for (int b = 0; b < n; ++b) {
+      for (int ci = 0; ci < cin; ++ci)
+        for (int di = -1; di <= 1; ++di)
+          for (int dj = -1; dj <= 1; ++dj)
+            for (int i = 0; i < h; ++i)
+              for (int j = 0; j < w; ++j) {
+                const int ii = i + di, jj = j + dj;
+                col[static_cast<std::size_t>(ci * 9 + (di + 1) * 3 + dj + 1) * hw +
+                    i * w + j] = ii < 0 || ii >= h || jj < 0 || jj >= w
+                                     ? 0.0f
+                                     : x.at(b, ci, ii, jj);
+              }
+      float* yb = ref.data() + static_cast<std::size_t>(b) * cout * hw;
+      for (int co = 0; co < cout; ++co)
+        std::fill(yb + co * hw, yb + (co + 1) * hw,
+                  conv.bias[static_cast<std::size_t>(co)]);
+      ml::gemm_naive(ml::Trans::No, ml::Trans::No, cout, hw, kdim, 1.0f,
+                     conv.weight.data(), kdim, col.data(), hw, 1.0f, yb, hw);
+    }
+    for (const ml::Tensor& y : {conv.infer(x), conv.forward(x)})
+      ASSERT_EQ(std::memcmp(ref.data(), y.data(), ref.size() * sizeof(float)), 0)
+          << "cin=" << cin << " h=" << h << " w=" << w;
   }
 }
 

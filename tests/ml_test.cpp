@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -15,6 +16,7 @@
 #include "impeccable/chem/depiction.hpp"
 #include "impeccable/chem/library.hpp"
 #include "impeccable/chem/smiles.hpp"
+#include "impeccable/chem/store.hpp"
 #include "impeccable/common/thread_pool.hpp"
 #include "impeccable/ml/aae.hpp"
 #include "impeccable/ml/layers.hpp"
@@ -94,6 +96,20 @@ void check_param_gradients(ml::Layer& layer, const ml::Tensor& x, double tol) {
       EXPECT_NEAR((*p.grad)[i], (up - dn) / (2 * h), tol);
     }
   }
+}
+
+/// The 13 depicted ligands the surrogate's predict tests score.
+std::vector<chem::Image> predict_images() {
+  const auto lib = chem::generate_library("PRED", 13, 41);
+  std::vector<chem::Image> images;
+  for (std::size_t i = 0; i < lib.size(); ++i)
+    images.push_back(chem::depict(chem::parse_smiles(lib.entries[i].smiles)));
+  return images;
+}
+
+bool same_tensor_bits(const ml::Tensor& a, const ml::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 ml::Tensor random_tensor(std::vector<int> shape, std::uint64_t seed) {
@@ -190,6 +206,68 @@ TEST(Layers, MaxPoolSelectsMaxAndRoutesGradient) {
   const auto gx = pool.backward(g);
   EXPECT_EQ(gx.at(0, 0, 0, 1), 7.0f);
   EXPECT_EQ(gx.at(0, 0, 0, 0), 0.0f);
+}
+
+TEST(Layers, ReluEdgeSemantics) {
+  // x > 0 ? x : 0, branch-free: -0.0f and NaN both map to +0.0f, and the
+  // training forward agrees with infer() bit for bit.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> in = {-0.0f, nan, -1.0f, inf, -inf, tiny, 2.5f, 0.0f};
+  const std::vector<float> want = {0.0f, 0.0f, 0.0f, inf, 0.0f, tiny, 2.5f, 0.0f};
+  ml::Tensor x({1, static_cast<int>(in.size())});
+  std::copy(in.begin(), in.end(), x.data());
+  ml::ReLU relu;
+  const ml::Tensor y = relu.infer(x);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    EXPECT_EQ(y[i], want[i]) << "element " << i;
+    EXPECT_FALSE(std::signbit(y[i])) << "element " << i;
+  }
+  EXPECT_TRUE(same_tensor_bits(relu.forward(x), y));
+  // The mask passes the gradient exactly where the output passed x.
+  ml::Tensor g(x.shape());
+  g.fill(3.0f);
+  const ml::Tensor gx = relu.backward(g);
+  for (std::size_t i = 0; i < in.size(); ++i)
+    EXPECT_EQ(gx[i], in[i] > 0.0f ? 3.0f : 0.0f) << "element " << i;
+}
+
+TEST(Layers, MaxPoolEdgeSemantics) {
+  // Each window is scanned (0,0), (0,1), (1,0), (1,1) from -1e30f with a
+  // strict `>`: ties keep the first position, a NaN never wins, and a
+  // window where nothing beats -1e30f yields -1e30f with argmax 0.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  ml::Tensor x({1, 2, 2, 6});
+  const float plane0[2][6] = {{nan, 1.0f, 5.0f, 5.0f, -7.0f, -3.0f},
+                              {3.0f, 2.0f, 5.0f, 5.0f, -9.0f, -3.0f}};
+  const float plane1[2][6] = {{nan, nan, -inf, -2e30f, 1.0f, 4.0f},
+                              {nan, nan, -inf, -1e31f, 4.0f, 2.0f}};
+  for (int i = 0; i < 2; ++i)
+    for (int j = 0; j < 6; ++j) {
+      x.at(0, 0, i, j) = plane0[i][j];
+      x.at(0, 1, i, j) = plane1[i][j];
+    }
+  ml::MaxPool2 pool;
+  const ml::Tensor y = pool.infer(x);
+  const std::vector<float> want = {3.0f, 5.0f, -3.0f, -1e30f, -1e30f, 4.0f};
+  ASSERT_EQ(y.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_EQ(y[i], want[i]) << "window " << i;
+  EXPECT_TRUE(same_tensor_bits(pool.forward(x), y));
+
+  // The argmax routes window i's gradient (i + 1) to its winner.
+  ml::Tensor g({1, 2, 1, 3});
+  for (std::size_t i = 0; i < g.size(); ++i) g[i] = static_cast<float>(i + 1);
+  const ml::Tensor gx = pool.backward(g);
+  ml::Tensor expect(x.shape());
+  expect.at(0, 0, 1, 0) = 1.0f;  // the 3 beside a NaN
+  expect.at(0, 0, 0, 2) = 2.0f;  // four-way tie: the first position
+  expect.at(0, 0, 0, 5) = 3.0f;  // all negative, tie on -3: the first
+  expect.at(0, 0, 0, 0) = 4.0f + 5.0f;  // all NaN; all below -1e30f
+  expect.at(0, 1, 0, 5) = 6.0f;  // tie on 4: (0,1) before (1,0)
+  EXPECT_TRUE(same_tensor_bits(gx, expect));
 }
 
 TEST(Layers, ResidualBlockGradients) {
@@ -375,10 +453,7 @@ TEST(Surrogate, PredictBatchBitwiseAcrossComputePoolSizes) {
   // scores must not depend on the pool (none, 1, 2 or 8 threads, or called
   // from inside a pool job) and must equal per-image predict() and the
   // training-time forward over the whole batch, byte for byte.
-  const auto lib = chem::generate_library("PRED", 13, 41);
-  std::vector<chem::Image> images;
-  for (std::size_t i = 0; i < lib.size(); ++i)
-    images.push_back(chem::depict(chem::parse_smiles(lib.entries[i].smiles)));
+  const std::vector<chem::Image> images = predict_images();
   ml::SurrogateOptions opts;
   opts.seed = 77;
   ml::SurrogateModel model(opts);
@@ -439,6 +514,22 @@ TEST(Surrogate, PredictBatchBitwiseAcrossComputePoolSizes) {
     pool.submit([&] { nested = model.predict_batch(images); }).get();
     EXPECT_TRUE(same_bits(nested, ref)) << threads << " threads, nested";
   }
+}
+
+TEST(Surrogate, PredictBitsPinned) {
+  // The surrogate's scores, pinned by an FNV-1a digest of their bits. The
+  // GEMM ISA variant the host dispatches to, the tile widths, im2col
+  // blocking and the branch-free layer kernels change how the work is
+  // done, never an IEEE operation or its order, so none may move a bit.
+  // The digest is the value of a baseline-ISA, scalar-layer build.
+  const std::vector<chem::Image> images = predict_images();
+  ml::SurrogateOptions opts;
+  opts.seed = 77;
+  const ml::SurrogateModel model(opts);
+  const ComputePoolScope serial(nullptr);
+  const std::vector<float> scores = model.predict_batch(images);
+  EXPECT_EQ(chem::fnv1a64(scores.data(), scores.size() * sizeof(float)),
+            0x8030a2dd455fb9c4ull);
 }
 
 // ---------------------------------------------------------------- RES
