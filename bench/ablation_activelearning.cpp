@@ -56,7 +56,7 @@ int main() {
     images.push_back(chem::depict(mols.back()));
   }
   impeccable::common::ThreadPool pool;
-  impeccable::common::parallel_for(pool, 0, library_size, [&](std::size_t i) {
+  pool.parallel_for(0, library_size, [&](std::size_t i) {
     truth[i] = dock::dock(*grid, mols[i], lib.entries[i].id, dopts).best_score;
   });
 

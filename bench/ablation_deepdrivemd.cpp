@@ -52,6 +52,7 @@ int main() {
   // Average both policies over several independent repeats — single runs of
   // a stochastic sampler are dominated by lucky/unlucky thermal kicks.
   impeccable::common::ThreadPool pool;
+  const impeccable::common::ComputePoolScope pool_scope(&pool);
   const int repeats = 4;
   std::vector<double> plain_cover(static_cast<std::size_t>(opts.rounds), 0.0);
   std::vector<double> adapt_cover(plain_cover), plain_front(plain_cover),
@@ -60,8 +61,8 @@ int main() {
   for (int rep = 0; rep < repeats; ++rep) {
     auto ropts = opts;
     ropts.seed = opts.seed + 1000 * static_cast<std::uint64_t>(rep);
-    const auto adaptive = core::run_deepdrivemd(lpc, ropts, true, &pool);
-    const auto plain = core::run_deepdrivemd(lpc, ropts, false, &pool);
+    const auto adaptive = core::run_deepdrivemd(lpc, ropts, true);
+    const auto plain = core::run_deepdrivemd(lpc, ropts, false);
     steps = static_cast<unsigned long long>(adaptive.md_steps);
     for (int r = 0; r < opts.rounds; ++r) {
       plain_cover[static_cast<std::size_t>(r)] +=

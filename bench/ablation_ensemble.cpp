@@ -42,6 +42,7 @@ int main() {
 
   const int repeats = 6;
   impeccable::common::ThreadPool pool;
+  const impeccable::common::ComputePoolScope pool_scope(&pool);
 
   std::printf("ESMACS ensemble-size ablation (one LPC, %d independent "
               "estimates per replica count)\n\n", repeats);
@@ -57,7 +58,7 @@ int main() {
     std::vector<double> estimates, sems;
     for (int rep = 0; rep < repeats; ++rep) {
       const auto res = fe::run_esmacs(lpc, rotatable, cfg,
-                                      0x5eedULL + 1000 * rep, &pool);
+                                      0x5eedULL + 1000 * rep);
       estimates.push_back(res.binding_free_energy);
       sems.push_back(res.std_error);
     }

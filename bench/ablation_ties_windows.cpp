@@ -32,6 +32,7 @@ int main() {
   const auto lpc = md::build_lpc(protein, mol, pose.best_coords);
 
   impeccable::common::ThreadPool pool;
+  const impeccable::common::ComputePoolScope pool_scope(&pool);
 
   std::printf("TIES lambda-window convergence (one LPC, 4 replicas/window)\n\n");
   std::printf("%-10s %-14s %-12s %-14s\n", "windows", "dG (kcal/mol)", "sem",
@@ -45,7 +46,7 @@ int main() {
     cfg.simulation.equilibration_steps = 60;
     cfg.simulation.production_steps = 240;
     cfg.simulation.report_interval = 20;
-    const auto res = fe::run_ties(lpc, cfg, 99, &pool);
+    const auto res = fe::run_ties(lpc, cfg, 99);
     std::printf("%-10d %-14.2f %-12.2f %-14llu\n", windows, res.delta_g,
                 res.std_error, static_cast<unsigned long long>(res.md_steps));
   }

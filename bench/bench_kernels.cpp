@@ -128,12 +128,13 @@ BENCHMARK(BM_GemmNaive)->Arg(128)->Arg(256);
 static void BM_GemmBlocked(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto pool = make_pool(state.range(1));
+  const ic::ComputePoolScope scope(pool.get());
   const auto A = random_matrix(static_cast<std::size_t>(n) * n, 1);
   const auto B = random_matrix(static_cast<std::size_t>(n) * n, 2);
   std::vector<float> C(static_cast<std::size_t>(n) * n, 0.0f);
   for (auto _ : state) {
     ml::gemm(ml::Trans::No, ml::Trans::No, n, n, n, 1.0f, A.data(), n,
-             B.data(), n, 0.0f, C.data(), n, pool.get());
+             B.data(), n, 0.0f, C.data(), n);
     benchmark::ClobberMemory();
   }
   report_gflops(state, 2.0 * n * n * n);
@@ -173,12 +174,11 @@ BENCHMARK(BM_GemmConvShapes)
 
 static void BM_DenseForwardBatch(benchmark::State& state) {
   const auto pool = make_pool(state.range(0));
-  ic::set_compute_pool(pool.get());
+  const ic::ComputePoolScope scope(pool.get());
   Rng rng(3);
   ml::Dense dense(512, 128, rng);
   const ml::Tensor x = ml::Tensor::randn({64, 512}, rng, 1.0f);
   for (auto _ : state) benchmark::DoNotOptimize(dense.forward(x));
-  ic::set_compute_pool(nullptr);
   count_items(state, 64);
   report_gflops(state, 2.0 * 64 * 128 * 512);
 }
@@ -195,12 +195,11 @@ BENCHMARK(BM_SurrogateInference);
 
 static void BM_SurrogatePredictBatch(benchmark::State& state) {
   const auto pool = make_pool(state.range(0));
-  ic::set_compute_pool(pool.get());
+  const ic::ComputePoolScope scope(pool.get());
   ml::SurrogateModel model;
   std::vector<chem::Image> images(
       16, chem::depict(chem::parse_smiles("CC(=O)Oc1ccccc1C(=O)O")));
   for (auto _ : state) benchmark::DoNotOptimize(model.predict_batch(images));
-  ic::set_compute_pool(nullptr);
   count_items(state, 16);
   report_gflops(state, 16.0 * static_cast<double>(model.flops_per_image()));
 }
@@ -372,6 +371,7 @@ BENCHMARK(BM_DockSeeded)->ArgsProduct({ligand_args()});
 
 static void BM_DockLigand(benchmark::State& state) {
   const auto pool = make_pool(state.range(0));
+  const ic::ComputePoolScope scope(pool.get());
   const auto receptor = dock::Receptor::synthesize("bench", 1);
   dock::GridOptions gopts;
   gopts.nodes = 25;
@@ -381,7 +381,6 @@ static void BM_DockLigand(benchmark::State& state) {
   opts.runs = 8;
   opts.lga.population = 30;
   opts.lga.generations = 10;
-  opts.pool = pool.get();
   for (auto _ : state)
     benchmark::DoNotOptimize(dock::dock(*grid, mol, "bench-ligand", opts));
   count_items(state, opts.runs);

@@ -111,14 +111,14 @@ double instrumented_item(std::size_t i) {
 /// The quickstart workload (dock one ligand, CG-ESMACS the complex) at
 /// reduced size. Its dock/fe/pool layers carry the same span/counter
 /// instrumentation as production — whether anything records depends on
-/// whether a global recorder is installed when this runs.
-double quickstart_workload(common::ThreadPool& pool) {
+/// whether a global recorder is installed when this runs. The dock runs and
+/// replicas fan out over the installed compute pool.
+double quickstart_workload() {
   const auto receptor = dock::Receptor::synthesize("bench-obs", /*seed=*/42);
   const auto grid = dock::compute_grid(receptor);
   const auto mol = chem::parse_smiles("CC(C)Cc1ccc(cc1)C(C)C(=O)O");
   dock::DockOptions dopts;
   dopts.runs = 2;
-  dopts.pool = &pool;
   const auto result = dock::dock(*grid, mol, "ibuprofen", dopts);
   md::ProteinOptions popts;
   popts.residues = 30;
@@ -126,7 +126,7 @@ double quickstart_workload(common::ThreadPool& pool) {
   const auto lpc = md::build_lpc(protein, mol, result.best_coords);
   fe::EsmacsConfig cfg = fe::cg_config(0.15);
   cfg.replicas = 2;
-  const auto es = fe::run_esmacs(lpc, /*rot_bonds=*/4, cfg, /*seed=*/7, &pool);
+  const auto es = fe::run_esmacs(lpc, /*rot_bonds=*/4, cfg, /*seed=*/7);
   return result.best_score + es.binding_free_energy;
 }
 
@@ -185,6 +185,7 @@ int main(int argc, char** argv) {
   // a live recorder capturing every span. The acceptance bar is < 2% here
   // too.
   common::ThreadPool pool;
+  const common::ComputePoolScope pool_scope(&pool);
   obs::Recorder qrec;
   Timed q_noop, q_rec;
   std::vector<double> qn_reps, qr_reps;
@@ -193,12 +194,12 @@ int main(int argc, char** argv) {
     Timed warm;
     const auto run_noop = [&] {
       return measure_into(r ? q_noop : warm, 1,
-                          [&](std::size_t) { return quickstart_workload(pool); });
+                          [&](std::size_t) { return quickstart_workload(); });
     };
     const auto run_rec = [&] {
       obs::ScopedRecorder scoped(&qrec);
       return measure_into(r ? q_rec : warm, 1,
-                          [&](std::size_t) { return quickstart_workload(pool); });
+                          [&](std::size_t) { return quickstart_workload(); });
     };
     double tn, tr;
     if (r % 2) {

@@ -63,7 +63,7 @@ inline Workload run_cg_campaign(std::size_t count, std::uint64_t seed,
 
   out.compounds.resize(count);
   impeccable::common::ThreadPool pool;
-  impeccable::common::parallel_for(pool, 0, count, [&](std::size_t i) {
+  pool.parallel_for(0, count, [&](std::size_t i) {
     CompoundCg& c = out.compounds[i];
     c.id = lib.entries[i].id;
     c.molecule = chem::parse_smiles(lib.entries[i].smiles);

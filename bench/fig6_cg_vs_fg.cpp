@@ -71,6 +71,7 @@ int main() {
 
   int improved = 0;
   impeccable::common::ThreadPool pool;
+  const impeccable::common::ComputePoolScope pool_scope(&pool);
   for (std::size_t j : order) {
     auto& c = workload.compounds[j];
     // This binder's most outlying conformations.
@@ -87,7 +88,7 @@ int main() {
                            .frames[refs[k].frame]
                            .positions;
       const auto res =
-          fe::run_esmacs(conf, c.rotatable, fg, 77 ^ (k * 131), &pool);
+          fe::run_esmacs(conf, c.rotatable, fg, 77 ^ (k * 131));
       fg_energies.push_back(res.binding_free_energy);
     }
 

@@ -36,7 +36,9 @@ int main() {
   // single untaken branch.
   obs::Recorder recorder;
   obs::ScopedRecorder scoped(&recorder);
+  // The compute pool the dock runs and ESMACS replicas fan out over.
   common::ThreadPool pool;
+  const common::ComputePoolScope pool_scope(&pool);
   // 1. A target: procedural receptor + precompiled affinity maps.
   const auto receptor = dock::Receptor::synthesize("demo-target", /*seed=*/42);
   const auto grid = dock::compute_grid(receptor);
@@ -53,7 +55,6 @@ int main() {
   // 3. Dock: 4 independent LGA runs, pose clustering, best score.
   dock::DockOptions dopts;
   dopts.runs = 4;
-  dopts.pool = &pool;
   const auto result = dock::dock(*grid, mol, "ibuprofen", dopts);
   std::printf("docking: best score %.2f kcal/mol, %zu pose clusters, %llu "
               "evaluations\n",
@@ -73,7 +74,7 @@ int main() {
   fe::EsmacsConfig cfg = fe::cg_config(0.5);
   cfg.keep_trajectories = true;
   const auto esmacs =
-      fe::run_esmacs(lpc, desc.rotatable_bonds, cfg, /*seed=*/7, &pool);
+      fe::run_esmacs(lpc, desc.rotatable_bonds, cfg, /*seed=*/7);
   std::printf("CG-ESMACS (%d replicas): dG = %.2f +- %.2f kcal/mol "
               "(95%% CI [%.2f, %.2f]; within-replica %.2f)\n",
               cfg.replicas, esmacs.binding_free_energy, esmacs.std_error,

@@ -10,22 +10,6 @@
 
 namespace impeccable::chem {
 
-namespace {
-
-/// Run fill(i) for i in [begin, end) over the installed compute pool, one
-/// ligand per chunk (ligands differ widely in cost), or serially when no
-/// pool is installed. fill(i) must write only slot i.
-template <typename Fill>
-void featurize_each(std::size_t begin, std::size_t end, Fill&& fill) {
-  if (common::ThreadPool* pool = common::compute_pool()) {
-    pool->parallel_for(begin, end, fill, 1);
-    return;
-  }
-  for (std::size_t i = begin; i < end; ++i) fill(i);
-}
-
-}  // namespace
-
 Molecule LigandSource::prepare(std::string_view smiles) const {
   Molecule mol = parse_smiles(smiles);
   if (opts_.protonate_ph > 0.0)
@@ -38,8 +22,8 @@ void LigandSource::images(std::size_t begin, std::size_t end,
   if (begin > end || end > size())
     throw std::out_of_range("LigandSource::images: bad window");
   out.resize(end - begin);
-  featurize_each(begin, end,
-                 [&](std::size_t i) { out[i - begin] = image(i); });
+  common::parallel_for(begin, end,
+                       [&](std::size_t i) { out[i - begin] = image(i); });
 }
 
 void LigandSource::release(std::size_t, std::size_t) const {}
@@ -51,7 +35,7 @@ InMemorySource::InMemorySource(CompoundLibrary library, SourceOptions opts)
     : LigandSource(opts), library_(std::move(library)) {
   mols_.resize(library_.size());
   images_.resize(library_.size());
-  featurize_each(0, library_.size(), [this](std::size_t i) {
+  common::parallel_for(0, library_.size(), [this](std::size_t i) {
     mols_[i] = prepare(library_.entries[i].smiles);
     images_[i] = depict(mols_[i], opts_.depiction);
   });

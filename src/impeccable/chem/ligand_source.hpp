@@ -17,13 +17,12 @@
 // campaign's science_fingerprint() is invariant to the backend choice —
 // pinned by tests/library_store_test.cpp.
 //
-// Featurization fans out over the process compute pool
-// (common::compute_pool()): LigandSource::images and the InMemorySource
-// constructor run one parallel_for job per ligand when a pool is installed
-// and a serial loop when none is. Each ligand's molecule and image depend
-// only on that ligand and land in their own slot, so the output is bitwise
-// identical for any pool size, and a malformed entry throws the same error,
-// from the lowest failing index, as the serial loop would.
+// Featurization fans out through common::parallel_for: LigandSource::images
+// and the InMemorySource constructor run one job per ligand on the installed
+// compute pool and a serial loop when none is. Each ligand's molecule and
+// image depend only on that ligand and land in their own slot, so the output
+// is bitwise identical for any pool size, and a malformed entry throws the
+// same error, from the lowest failing index, as the serial loop would.
 
 #include <cstddef>
 #include <cstdint>

@@ -58,6 +58,20 @@ std::string shard_name(std::size_t index) {
   return name;
 }
 
+/// The `shard-*.imls` file names in `directory`, sorted (none if missing).
+std::vector<std::string> shard_names(const std::string& directory) {
+  std::error_code ec;
+  std::vector<std::string> names;
+  for (std::filesystem::directory_iterator it(directory, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (name.rfind("shard-", 0) == 0 && name.ends_with(".imls"))
+      names.push_back(name);
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
 /// Checksum [offset, offset+n) of an open fd through a bounded buffer, so
 /// validating a huge shard never maps or faults it resident.
 bool checksum_range(int fd, std::size_t offset, std::size_t n,
@@ -194,17 +208,7 @@ void LigandStoreWriter::flush_shard() {
 LigandStore LigandStore::open(const std::string& directory) {
   LigandStore st;
   st.dir_ = directory;
-  std::error_code ec;
-  std::vector<std::string> names;
-  for (std::filesystem::directory_iterator it(directory, ec), end;
-       !ec && it != end; it.increment(ec)) {
-    const std::string name = it->path().filename().string();
-    if (name.rfind("shard-", 0) == 0 && name.ends_with(".imls"))
-      names.push_back(name);
-  }
-  std::sort(names.begin(), names.end());
-
-  for (const auto& name : names) {
+  for (const auto& name : shard_names(directory)) {
     const std::string path = directory + "/" + name;
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) {
@@ -259,6 +263,11 @@ LigandStore LigandStore::open(const std::string& directory) {
   }
   st.stats_.records = st.total_;
   return st;
+}
+
+void LigandStore::remove_shards(const std::string& directory) {
+  for (const auto& name : shard_names(directory))
+    std::filesystem::remove(directory + "/" + name);
 }
 
 LigandStore::~LigandStore() {

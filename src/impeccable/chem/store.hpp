@@ -110,6 +110,10 @@ class LigandStore {
   /// and counted in stats(). An empty/missing directory yields size()==0.
   static LigandStore open(const std::string& directory);
 
+  /// Deletes the `shard-*.imls` files open() would read from `directory`
+  /// and nothing else: the directory and any other entry in it stay.
+  static void remove_shards(const std::string& directory);
+
   LigandStore() = default;
   ~LigandStore();
   LigandStore(LigandStore&&) noexcept;

@@ -4,7 +4,9 @@
 // This is the "real compute" execution substrate: ensemble MD replicas,
 // GA docking runs, GEMM row panels and NN training batches run as pool jobs,
 // mirroring the node-level OpenMP/thread parallelism the paper's engines use
-// on Summit.
+// on Summit. Library kernels never take a pool argument: they fan out through
+// common::parallel_for(begin, end, body) over the one installed compute pool
+// (ComputePoolScope), and the runtime decides which pool that is.
 //
 // Architecture (execution engine v2):
 //  * one deque per worker (LIFO for the owner — cache-hot, depth-first) plus
@@ -185,20 +187,41 @@ class ThreadPool {
   std::condition_variable_any idle_cv_;
 };
 
-/// Run body(i) for i in [begin, end) across the pool, blocking until done.
-/// Grain-aware and nesting-safe; see ThreadPool::parallel_for.
-template <typename Body>
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  Body&& body, std::size_t grain = 0) {
-  pool.parallel_for(begin, end, std::forward<Body>(body), grain);
-}
-
-/// Process-wide compute pool for intra-kernel parallelism: the NN layers'
-/// GEMM row panels and chem featurization (LigandSource::images, the
-/// InMemorySource build) fan out over it. Defaults to nullptr (serial). Not
-/// owned; the caller keeps the pool alive while it is installed. Returns
-/// the previous pool.
+/// Process-wide compute pool: the one pool every library kernel fans out
+/// over (see parallel_for below). Defaults to nullptr (serial). Not owned;
+/// the caller keeps the pool alive while it is installed. Install it with a
+/// ComputePoolScope; set_compute_pool returns the previous pool.
 ThreadPool* set_compute_pool(ThreadPool* pool);
 ThreadPool* compute_pool();
+
+/// Run body(i) for i in [begin, end), one index per chunk, on the installed
+/// compute pool, or serially in index order when none is installed. This is
+/// the library's one fan-out: GA docking runs, ESMACS/TIES replicas,
+/// DeepDriveMD simulations, per-image inference, featurization and GEMM row
+/// panels all go through it, so nesting (a GEMM inside a per-image job)
+/// shares one set of workers. The determinism contract is the pool's: body
+/// must write only index-addressed slots.
+template <typename Body>
+void parallel_for(std::size_t begin, std::size_t end, Body&& body) {
+  if (ThreadPool* pool = compute_pool()) {
+    pool->parallel_for(begin, end, std::forward<Body>(body), 1);
+    return;
+  }
+  for (std::size_t i = begin; i < end; ++i) body(i);
+}
+
+/// Installs `pool` (or nullptr: serial) as the compute pool for one scope and
+/// restores the previous one on every exit path, exceptions included.
+class ComputePoolScope {
+ public:
+  explicit ComputePoolScope(ThreadPool* pool)
+      : prev_(set_compute_pool(pool)) {}
+  ~ComputePoolScope() { set_compute_pool(prev_); }
+  ComputePoolScope(const ComputePoolScope&) = delete;
+  ComputePoolScope& operator=(const ComputePoolScope&) = delete;
+
+ private:
+  ThreadPool* prev_;
+};
 
 }  // namespace impeccable::common

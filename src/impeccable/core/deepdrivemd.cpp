@@ -47,7 +47,7 @@ double conformational_coverage(const md::System& system,
 
 DeepDriveMdResult run_deepdrivemd(const md::System& system,
                                   const DeepDriveMdOptions& opts,
-                                  bool adaptive, common::ThreadPool* pool) {
+                                  bool adaptive) {
   DeepDriveMdResult res;
   Rng rng(opts.seed);
 
@@ -89,17 +89,12 @@ DeepDriveMdResult run_deepdrivemd(const md::System& system,
     md::SimulationOptions sim_opts = opts.simulation;
     if (round > 0) sim_opts.minimize_iterations = 0;
     std::vector<md::SimulationResult> sims(starts.size());
-    auto run_one = [&](std::size_t s) {
+    common::parallel_for(0, starts.size(), [&](std::size_t s) {
       md::System start = system;
       start.positions = starts[s];
       sims[s] = md::run_replica(start, sim_opts,
                                 opts.seed ^ (round * 131 + s * 7 + 1));
-    };
-    if (pool) {
-      common::parallel_for(*pool, 0, starts.size(), run_one, 1);
-    } else {
-      for (std::size_t s = 0; s < starts.size(); ++s) run_one(s);
-    }
+    });
 
     // ---- aggregate ----
     std::vector<std::size_t> last_frame_of(starts.size(), 0);

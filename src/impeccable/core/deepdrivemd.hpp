@@ -16,9 +16,6 @@
 #include "impeccable/md/simulation.hpp"
 #include "impeccable/ml/aae.hpp"
 
-namespace impeccable::common {
-class ThreadPool;
-}  // namespace impeccable::common
 namespace impeccable::md {
 struct System;
 }  // namespace impeccable::md
@@ -66,8 +63,7 @@ struct DeepDriveMdResult {
 /// step is skipped (plain ensemble MD continuation) — the ablation baseline.
 DeepDriveMdResult run_deepdrivemd(const md::System& system,
                                   const DeepDriveMdOptions& opts,
-                                  bool adaptive = true,
-                                  common::ThreadPool* pool = nullptr);
+                                  bool adaptive = true);
 
 /// Coverage proxy: mean pairwise RMSD of the selected beads over up to
 /// `sample` random pairs of the given conformations.

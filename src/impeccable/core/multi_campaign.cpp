@@ -56,15 +56,11 @@ MultiCampaignReport MultiCampaign::run(rct::ExecutionBackend& backend) {
   // Every instrumented layer below (dock, ml, fe, pool) records through the
   // global recorder; restored on scope exit.
   obs::ScopedRecorder scoped(&rec);
-  // The backend's pool is the process compute pool for the run: the NN
-  // layers and chem featurization (the InMemorySource build in
-  // CampaignState::init included) fan out over it.
-  struct PoolGuard {
-    common::ThreadPool* prev;
-    explicit PoolGuard(common::ThreadPool* p)
-        : prev(common::set_compute_pool(p)) {}
-    ~PoolGuard() { common::set_compute_pool(prev); }
-  } pool_guard(backend.compute_pool());
+  // The backend's pool is the process compute pool for the run: every
+  // kernel a stage payload calls (dock runs, ESMACS replicas, the NN layers,
+  // chem featurization — the InMemorySource build in CampaignState::init
+  // included) fans out over it.
+  const common::ComputePoolScope pool_scope(backend.compute_pool());
 
   out.reports.resize(entries_.size());
   std::vector<std::vector<stages::CampaignGraphIds>> ids(entries_.size());

@@ -35,9 +35,11 @@ void CampaignState::init(const std::string& resume_checkpoint) {
     chem::LigandStore store = chem::LigandStore::open(store_dir);
     if (store.size() != sci.library_size ||
         store.stats().shards_skipped != 0) {
-      // Missing, stale, or damaged: regenerate the spill from scratch.
+      // Missing, stale, or damaged: regenerate the spill from scratch. Only
+      // the shard files go: the directory may be the user's, holding other
+      // files.
       store = chem::LigandStore();
-      std::filesystem::remove_all(store_dir);
+      chem::LigandStore::remove_shards(store_dir);
       chem::spill_generated_library(sci.library_name, sci.library_size,
                                     sci.library_seed, store_dir);
       store = chem::LigandStore::open(store_dir);

@@ -33,8 +33,7 @@ std::vector<rct::TaskDescription> CgEsmacsStage::build(CampaignState& cs) {
       scratch->cg_results[j] = fe::run_esmacs(
           scratch->cg_systems[j], scratch->cg_rotatable[j], cfg,
           item_seed(st->exec->seed,
-                    iter_salt(0xc6, scratch->iteration), j),
-          st->backend->compute_pool());
+                    iter_salt(0xc6, scratch->iteration), j));
     };
     tasks.push_back(std::move(t));
   }

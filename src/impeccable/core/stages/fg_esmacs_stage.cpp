@@ -36,8 +36,7 @@ std::vector<rct::TaskDescription> FgEsmacsStage::build(CampaignState& cs) {
       scratch->fg_results[f] = fe::run_esmacs(
           scratch->fg_jobs[f].system, scratch->fg_jobs[f].rotatable,
           st->science->esmacs_fg,
-          item_seed(st->exec->seed, iter_salt(0xf6, scratch->iteration), f),
-          st->backend->compute_pool());
+          item_seed(st->exec->seed, iter_salt(0xf6, scratch->iteration), f));
     };
     tasks.push_back(std::move(t));
   }

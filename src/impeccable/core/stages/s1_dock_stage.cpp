@@ -42,7 +42,6 @@ std::vector<rct::TaskDescription> S1DockStage::build(CampaignState& cs) {
       // Seeded by the global library index, not the iteration: a compound
       // docks identically no matter which iteration selects it.
       dopts.seed = item_seed(st->exec->seed, 0xd0c, idx);
-      dopts.pool = st->backend->compute_pool();
       const std::string id = st->source->id(idx);
       // Parse (and protonate) here, on a worker, into this task's own
       // scratch slot — under an out-of-core source there is no materialized

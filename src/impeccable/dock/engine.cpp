@@ -30,15 +30,10 @@ DockResult dock(const AffinityGrid& grid, const chem::Molecule& mol,
   run_rngs.reserve(runs.size());
   for (std::size_t r = 0; r < runs.size(); ++r) run_rngs.push_back(base.spawn());
 
-  auto run_one = [&](std::size_t r) {
+  common::parallel_for(0, runs.size(), [&](std::size_t r) {
     const ScoringFunction score(grid, ligand);
     runs[r].lga = run_lga(score, run_rngs[r], opts.lga);
-  };
-  if (opts.pool && opts.pool->size() > 1 && runs.size() > 1) {
-    opts.pool->parallel_for(0, runs.size(), run_one, 1);
-  } else {
-    for (std::size_t r = 0; r < runs.size(); ++r) run_one(r);
-  }
+  });
 
   // Cluster final poses by heavy-atom RMSD (docking frame is fixed by the
   // receptor, so no superposition — raw RMSD, as AutoDock does).

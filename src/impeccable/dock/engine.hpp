@@ -6,6 +6,10 @@
 // score ("A drug screen takes the best scoring pose from these independent
 // outputs", Sec. 5.1.1). Receptor re-use across many ligands is the natural
 // calling pattern: compile the grid once, dock a stream of ligands.
+//
+// The runs fan out through common::parallel_for over the installed compute
+// pool (serial when none is). Per-run RNG streams are spawned serially before
+// dispatch, so results are identical whatever the pool size.
 
 #include <cstdint>
 #include <memory>
@@ -16,10 +20,6 @@
 #include "impeccable/dock/receptor.hpp"
 #include "impeccable/dock/search.hpp"
 
-namespace impeccable::common {
-class ThreadPool;
-}  // namespace impeccable::common
-
 namespace impeccable::dock {
 
 struct DockOptions {
@@ -28,10 +28,6 @@ struct DockOptions {
   LgaOptions lga;
   std::uint64_t seed = 0x0d0cULL;  ///< base seed; per-run streams derive from it
   std::uint64_t conformer_seed = 7;
-  /// Pool for the independent LGA runs (not owned, may be null = serial).
-  /// Per-run RNG streams are spawned serially before dispatch, so results
-  /// are identical whatever the pool size.
-  common::ThreadPool* pool = nullptr;
 };
 
 struct PoseCluster {

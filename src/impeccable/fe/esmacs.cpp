@@ -74,15 +74,14 @@ EsmacsResult summarize(std::vector<ReplicaOutcome> outcomes, bool keep,
 std::vector<ReplicaOutcome> run_batch(const md::System& lpc, int rotatable_bonds,
                                       const EsmacsConfig& config,
                                       std::uint64_t seed, int first_replica,
-                                      int count, common::ThreadPool* pool,
-                                      obs::SpanId parent) {
+                                      int count, obs::SpanId parent) {
   std::vector<ReplicaOutcome> outcomes(static_cast<std::size_t>(count));
   auto replica_seed = [&](int r) {
     std::uint64_t s = seed;
     common::splitmix64(s);
     return s ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(r + 1));
   };
-  auto run_replica_slot = [&](std::size_t r) {
+  common::parallel_for(0, outcomes.size(), [&](std::size_t r) {
     const int replica = first_replica + static_cast<int>(r);
     // Replicas may execute on pool threads: parent explicitly to the
     // enclosing esmacs span instead of the worker's local stack.
@@ -90,24 +89,18 @@ std::vector<ReplicaOutcome> run_batch(const md::System& lpc, int rotatable_bonds
                    obs::global(), parent);
     outcomes[r] = run_one(lpc, rotatable_bonds, config, replica_seed(replica));
     if (span.active()) span.arg("mean_dg", outcomes[r].mean_dg);
-  };
-  if (pool) {
-    common::parallel_for(*pool, 0, outcomes.size(), run_replica_slot, 1);
-  } else {
-    for (std::size_t r = 0; r < outcomes.size(); ++r) run_replica_slot(r);
-  }
+  });
   return outcomes;
 }
 
 }  // namespace
 
 EsmacsResult run_esmacs(const md::System& lpc, int rotatable_bonds,
-                        const EsmacsConfig& config, std::uint64_t seed,
-                        common::ThreadPool* pool) {
+                        const EsmacsConfig& config, std::uint64_t seed) {
   obs::Span span(obs::cat::kFe, "esmacs");
   span.arg("replicas", static_cast<double>(config.replicas));
   auto outcomes = run_batch(lpc, rotatable_bonds, config, seed, 0,
-                            config.replicas, pool, span.id());
+                            config.replicas, span.id());
   EsmacsResult res =
       summarize(std::move(outcomes), config.keep_trajectories, seed);
   if (span.active()) span.arg("dg", res.binding_free_energy);
@@ -117,10 +110,10 @@ EsmacsResult run_esmacs(const md::System& lpc, int rotatable_bonds,
 EsmacsResult run_esmacs_adaptive(const md::System& lpc, int rotatable_bonds,
                                  const EsmacsConfig& base,
                                  const AdaptiveOptions& adapt,
-                                 std::uint64_t seed, common::ThreadPool* pool) {
+                                 std::uint64_t seed) {
   obs::Span span(obs::cat::kFe, "esmacs-adaptive");
   std::vector<ReplicaOutcome> outcomes = run_batch(
-      lpc, rotatable_bonds, base, seed, 0, adapt.min_replicas, pool, span.id());
+      lpc, rotatable_bonds, base, seed, 0, adapt.min_replicas, span.id());
 
   auto sem_of = [&]() {
     std::vector<double> means;
@@ -133,8 +126,8 @@ EsmacsResult run_esmacs_adaptive(const md::System& lpc, int rotatable_bonds,
          (outcomes.size() < 2 || sem_of() > adapt.target_sem)) {
     const int count = std::min(adapt.batch,
                                adapt.max_replicas - static_cast<int>(outcomes.size()));
-    auto more = run_batch(lpc, rotatable_bonds, base, seed, next, count, pool,
-                          span.id());
+    auto more =
+        run_batch(lpc, rotatable_bonds, base, seed, next, count, span.id());
     next += count;
     for (auto& o : more) outcomes.push_back(std::move(o));
   }

@@ -18,10 +18,6 @@
 #include "impeccable/common/stats.hpp"
 #include "impeccable/fe/mmpbsa.hpp"
 
-namespace impeccable::common {
-class ThreadPool;
-}  // namespace impeccable::common
-
 namespace impeccable::fe {
 
 struct EsmacsConfig {
@@ -51,10 +47,10 @@ struct EsmacsResult {
 };
 
 /// Run the ensemble protocol on one LPC. Replica r uses seed derived from
-/// (seed, r); pass a pool to run replicas concurrently.
+/// (seed, r); the replicas fan out through common::parallel_for over the
+/// installed compute pool, so the replica set is identical for any pool size.
 EsmacsResult run_esmacs(const md::System& lpc, int rotatable_bonds,
-                        const EsmacsConfig& config, std::uint64_t seed,
-                        common::ThreadPool* pool = nullptr);
+                        const EsmacsConfig& config, std::uint64_t seed);
 
 struct AdaptiveOptions {
   int min_replicas = 4;
@@ -68,7 +64,6 @@ struct AdaptiveOptions {
 EsmacsResult run_esmacs_adaptive(const md::System& lpc, int rotatable_bonds,
                                  const EsmacsConfig& base,
                                  const AdaptiveOptions& adapt,
-                                 std::uint64_t seed,
-                                 common::ThreadPool* pool = nullptr);
+                                 std::uint64_t seed);
 
 }  // namespace impeccable::fe

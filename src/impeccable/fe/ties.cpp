@@ -10,7 +10,7 @@
 namespace impeccable::fe {
 
 TiesResult run_ties(const md::System& lpc, const TiesConfig& config,
-                    std::uint64_t seed, common::ThreadPool* pool) {
+                    std::uint64_t seed) {
   if (config.lambdas.size() < 2)
     throw std::invalid_argument("run_ties: need at least two lambda windows");
 
@@ -26,7 +26,7 @@ TiesResult run_ties(const md::System& lpc, const TiesConfig& config,
         static_cast<std::size_t>(config.replicas_per_window), 0.0);
     std::vector<std::uint64_t> replica_steps(replica_means.size(), 0);
 
-    auto run_one = [&](std::size_t r) {
+    common::parallel_for(0, replica_means.size(), [&](std::size_t r) {
       std::uint64_t s = seed ^ (w * 0x517cc1b727220a95ULL) ^
                         (static_cast<std::uint64_t>(r + 1) * 0x2545f4914f6cdd1dULL);
       const auto out = md::run_replica(lpc, sim, s);
@@ -35,13 +35,7 @@ TiesResult run_ties(const md::System& lpc, const TiesConfig& config,
       for (const auto& f : out.trajectory.frames) rs.add(f.energy.dh_dlambda);
       replica_means[r] = rs.count() ? rs.mean() : 0.0;
       replica_steps[r] = out.md_steps;
-    };
-
-    if (pool) {
-      common::parallel_for(*pool, 0, replica_means.size(), run_one, 1);
-    } else {
-      for (std::size_t r = 0; r < replica_means.size(); ++r) run_one(r);
-    }
+    });
     std::uint64_t steps = 0;
     for (std::uint64_t s : replica_steps) steps += s;
 

@@ -15,9 +15,6 @@
 #include "impeccable/common/stats.hpp"
 #include "impeccable/md/simulation.hpp"
 
-namespace impeccable::common {
-class ThreadPool;
-}  // namespace impeccable::common
 namespace impeccable::md {
 struct System;
 }  // namespace impeccable::md
@@ -44,8 +41,9 @@ struct TiesResult {
   std::uint64_t md_steps = 0;
 };
 
-/// Run the full TI protocol on one LPC.
+/// Run the full TI protocol on one LPC. Each window's replicas fan out
+/// through common::parallel_for over the installed compute pool.
 TiesResult run_ties(const md::System& lpc, const TiesConfig& config,
-                    std::uint64_t seed, common::ThreadPool* pool = nullptr);
+                    std::uint64_t seed);
 
 }  // namespace impeccable::fe

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "impeccable/common/thread_pool.hpp"
 #include "impeccable/ml/scratch.hpp"
 #include "impeccable/obs/recorder.hpp"
 
@@ -17,10 +18,14 @@ namespace {
 /// streamed row of B.
 constexpr int kTileRows = 4;
 
-/// Largest K panel: alpha·A for a 4-row tile and one panel is staged in a
-/// kTileRows × kPanelMax stack buffer. Panel edges only decide when C
-/// partial sums go through memory, never an element's operation order.
-constexpr int kPanelMax = 256;
+/// K panel height: alpha·A for a 4-row tile and one panel is staged in a
+/// kTileRows × kPanel stack buffer, and a B panel stays resident in L1/L2.
+/// Panel edges only decide when C partial sums go through memory, never an
+/// element's operation order.
+constexpr int kPanel = 256;
+
+/// C rows per parallel_for job.
+constexpr std::size_t kRowBlock = 32;
 
 /// The NN-case operands of one gemm call, after transposed operands were
 /// packed: A is (M×K, lda) row-major, B is (K×N, ldb) row-major.
@@ -34,7 +39,6 @@ struct NnArgs {
   float beta;
   float* C;
   int ldc;
-  int kc;
 };
 
 /// A vector of kLanes floats (GCC/Clang vector extension): one SSE, AVX or
@@ -49,7 +53,7 @@ struct Lanes {
 /// One kTileRows × (2·kLanes) register tile of C over one K panel of `kn`
 /// steps: load the tile, add x[r][k]·b[k][jj] for k ascending, store it.
 /// Its eight accumulators stay in registers for the whole panel. Row r of
-/// the staged alpha·A panel is x + r·kPanelMax; b is the panel's first B row
+/// the staged alpha·A panel is x + r·kPanel; b is the panel's first B row
 /// at the tile's first column; c0..c3 are the C rows at that column.
 template <int kLanes>
 [[gnu::always_inline]] inline void tile(const float* x, int kn,
@@ -70,7 +74,7 @@ template <int kLanes>
     std::memcpy(&b1, b + static_cast<std::size_t>(k) * ldb + kLanes, sizeof(V));
 #pragma GCC unroll 4
     for (int r = 0; r < kTileRows; ++r) {
-      const float xr = x[r * kPanelMax + k];
+      const float xr = x[r * kPanel + k];
       t[2 * r] += xr * b0;
       t[2 * r + 1] += xr * b1;
     }
@@ -98,7 +102,6 @@ template <int kLanes>
   const float* const A = g.A;
   const float* const B = g.B;
   float* const C = g.C;
-  const int kc = std::min(g.kc, kPanelMax);
   for (std::size_t i = i0; i < i1; ++i) {
     float* c = C + i * static_cast<std::size_t>(ldc);
     if (beta == 0.0f)
@@ -106,9 +109,9 @@ template <int kLanes>
     else if (beta != 1.0f)
       for (int j = 0; j < N; ++j) c[j] *= beta;
   }
-  alignas(64) float x[kTileRows * kPanelMax];
-  for (int k0 = 0; k0 < K; k0 += kc) {
-    const int k1 = std::min(K, k0 + kc), kn = k1 - k0;
+  alignas(64) float x[kTileRows * kPanel];
+  for (int k0 = 0; k0 < K; k0 += kPanel) {
+    const int k1 = std::min(K, k0 + kPanel), kn = k1 - k0;
     const float* bp = B + static_cast<std::size_t>(k0) * ldb;
     std::size_t i = i0;
     for (; i + kTileRows <= i1; i += kTileRows) {
@@ -116,7 +119,7 @@ template <int kLanes>
       float* c[kTileRows];
       for (int r = 0; r < kTileRows; ++r) {
         const float* a = A + (i + r) * static_cast<std::size_t>(lda) + k0;
-        for (int k = 0; k < kn; ++k) x[r * kPanelMax + k] = alpha * a[k];
+        for (int k = 0; k < kn; ++k) x[r * kPanel + k] = alpha * a[k];
         c[r] = C + (i + r) * static_cast<std::size_t>(ldc);
       }
       // Register tiles: C is loaded and stored once per K panel, not once
@@ -135,7 +138,7 @@ template <int kLanes>
           for (int jr = j; jr < N; ++jr) {
             const float bv = b[jr];
             for (int r = 0; r < kTileRows; ++r)
-              c[r][jr] += x[r * kPanelMax + k] * bv;
+              c[r][jr] += x[r * kPanel + k] * bv;
           }
         }
       }
@@ -217,8 +220,7 @@ void pack_transposed(const float* X, int ld, int rows, int cols, float* out) {
 
 void gemm_dispatch(RowsKernel rows, Trans ta, Trans tb, int M, int N, int K,
                    float alpha, const float* A, int lda, const float* B,
-                   int ldb, float beta, float* C, int ldc,
-                   common::ThreadPool* pool, const GemmTiling& tiling) {
+                   int ldb, float beta, float* C, int ldc) {
   if (M < 0 || N < 0 || K < 0)
     throw std::invalid_argument("gemm: negative dimension");
   if (M == 0 || N == 0) return;
@@ -250,25 +252,19 @@ void gemm_dispatch(RowsKernel rows, Trans ta, Trans tb, int M, int N, int K,
     B = p;
     ldb = N;
   }
-  const NnArgs args{N, K, alpha, A, lda, B, ldb, beta, C, ldc,
-                    std::max(1, tiling.kc)};
+  const NnArgs args{N, K, alpha, A, lda, B, ldb, beta, C, ldc};
   if (K == 0) {
     // Pure beta scaling.
     rows(args, 0, static_cast<std::size_t>(M));
     return;
   }
 
-  const std::size_t mc = static_cast<std::size_t>(std::max(1, tiling.mc));
-  const std::size_t blocks = (static_cast<std::size_t>(M) + mc - 1) / mc;
-  auto run_block = [&](std::size_t blk) {
-    const std::size_t i0 = blk * mc;
-    rows(args, i0, std::min<std::size_t>(M, i0 + mc));
-  };
-  if (pool && pool->size() > 1 && blocks > 1) {
-    pool->parallel_for(0, blocks, run_block, 1);
-  } else {
-    for (std::size_t blk = 0; blk < blocks; ++blk) run_block(blk);
-  }
+  const std::size_t blocks =
+      (static_cast<std::size_t>(M) + kRowBlock - 1) / kRowBlock;
+  common::parallel_for(0, blocks, [&](std::size_t blk) {
+    const std::size_t i0 = blk * kRowBlock;
+    rows(args, i0, std::min<std::size_t>(M, i0 + kRowBlock));
+  });
 }
 
 }  // namespace
@@ -302,22 +298,19 @@ std::vector<GemmIsa> gemm_isas() {
 }
 
 void gemm(Trans ta, Trans tb, int M, int N, int K, float alpha, const float* A,
-          int lda, const float* B, int ldb, float beta, float* C, int ldc,
-          common::ThreadPool* pool, const GemmTiling& tiling) {
+          int lda, const float* B, int ldb, float beta, float* C, int ldc) {
   static const RowsKernel rows = rows_kernel(gemm_isa());
-  gemm_dispatch(rows, ta, tb, M, N, K, alpha, A, lda, B, ldb, beta, C, ldc,
-                pool, tiling);
+  gemm_dispatch(rows, ta, tb, M, N, K, alpha, A, lda, B, ldb, beta, C, ldc);
 }
 
 void gemm_on(GemmIsa isa, Trans ta, Trans tb, int M, int N, int K,
              float alpha, const float* A, int lda, const float* B, int ldb,
-             float beta, float* C, int ldc, common::ThreadPool* pool,
-             const GemmTiling& tiling) {
+             float beta, float* C, int ldc) {
   if (!host_runs(isa))
     throw std::invalid_argument(std::string("gemm_on: host cannot run ") +
                                 gemm_isa_name(isa));
   gemm_dispatch(rows_kernel(isa), ta, tb, M, N, K, alpha, A, lda, B, ldb, beta,
-                C, ldc, pool, tiling);
+                C, ldc);
 }
 
 void gemm_naive(Trans ta, Trans tb, int M, int N, int K, float alpha,

@@ -7,11 +7,12 @@
 //     C (M×N) = alpha * op(A) * op(B) + beta * C
 // with op ∈ {identity, transpose}. Transposed operands are packed into
 // reused per-thread scratch once per call, then a register-tile
-// micro-kernel — 4 rows of C × 2 vectors — streams over cache-sized K panels
-// (GemmTiling): its eight vector accumulators stay in registers for a whole
-// panel, so C is loaded and stored once per panel. Leftover columns run
-// narrower tiles, then scalar loops; leftover rows run a one-row loop. Row
-// panels of C can be fanned out over a ThreadPool.
+// micro-kernel — 4 rows of C × 2 vectors — streams over 256-deep K panels:
+// its eight vector accumulators stay in registers for a whole panel, so C is
+// loaded and stored once per panel. Leftover columns run narrower tiles,
+// then scalar loops; leftover rows run a one-row loop. 32-row panels of C
+// fan out through common::parallel_for over the installed compute pool
+// (nested inside a caller's pool job too).
 //
 // ISA dispatch: the one tile source is compiled three times on x86-64 —
 // for the build's baseline (4×8 tiles), for AVX2 (4×16) and for AVX-512F
@@ -38,17 +39,10 @@ namespace impeccable::ml {
 
 enum class Trans { No, Yes };
 
-struct GemmTiling {
-  int kc = 256;  ///< K panel height (keeps a B panel resident in L1/L2)
-  int mc = 32;   ///< C rows per parallel task
-};
-
 /// Blocked SGEMM. `lda`/`ldb`/`ldc` are leading dimensions (row strides) of
 /// the STORED matrices (A is M×K when ta==No, K×M when ta==Yes; likewise B).
-/// `pool` enables row-panel parallelism; pass nullptr for serial.
 void gemm(Trans ta, Trans tb, int M, int N, int K, float alpha, const float* A,
-          int lda, const float* B, int ldb, float beta, float* C, int ldc,
-          common::ThreadPool* pool = nullptr, const GemmTiling& tiling = {});
+          int lda, const float* B, int ldb, float beta, float* C, int ldc);
 
 /// Instruction-set variant of the GEMM tile (see the header comment).
 enum class GemmIsa { Baseline, Avx2, Avx512f };
@@ -67,17 +61,16 @@ std::vector<GemmIsa> gemm_isas();
 /// cannot run it (tests and benches only).
 void gemm_on(GemmIsa isa, Trans ta, Trans tb, int M, int N, int K,
              float alpha, const float* A, int lda, const float* B, int ldb,
-             float beta, float* C, int ldc, common::ThreadPool* pool = nullptr,
-             const GemmTiling& tiling = {});
+             float beta, float* C, int ldc);
 
 /// Naive triple-loop reference (tests and benches only).
 void gemm_naive(Trans ta, Trans tb, int M, int N, int K, float alpha,
                 const float* A, int lda, const float* B, int ldb, float beta,
                 float* C, int ldc);
 
-/// The process-wide compute pool the NN layers use for intra-layer
-/// parallelism; the one registry lives in common (see thread_pool.hpp).
-using common::compute_pool;
+/// The one compute-pool registry lives in common (see thread_pool.hpp); code
+/// installs a pool with common::ComputePoolScope. This alias stays only for
+/// the benchmark harness (perfbench/), its one caller, until Benchmark v2.
 using common::set_compute_pool;
 
 }  // namespace impeccable::ml

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "impeccable/common/thread_pool.hpp"
 #include "impeccable/ml/gemm.hpp"
 #include "impeccable/ml/scratch.hpp"
 
@@ -40,7 +41,7 @@ Tensor Dense::apply(const Tensor& x) const {
     std::copy(bias.data(), bias.data() + out,
               y.data() + static_cast<std::size_t>(i) * out);
   gemm(Trans::No, Trans::Yes, n, out, in, 1.0f, x.data(), in, weight.data(), in,
-       1.0f, y.data(), out, compute_pool());
+       1.0f, y.data(), out);
   return y;
 }
 
@@ -57,10 +58,10 @@ Tensor Dense::backward(const Tensor& grad_out) {
   // dL/dx = g · W (accumulates over `out` ascending, as the old o-loop did).
   Tensor grad_in({n, in});
   gemm(Trans::No, Trans::No, n, in, out, 1.0f, grad_out.data(), out,
-       weight.data(), in, 0.0f, grad_in.data(), in, compute_pool());
+       weight.data(), in, 0.0f, grad_in.data(), in);
   // dL/dW += g^T · x (accumulates over rows ascending, as the old i-loop did).
   gemm(Trans::Yes, Trans::No, out, in, n, 1.0f, grad_out.data(), out,
-       input_.data(), in, 1.0f, weight_grad.data(), in, compute_pool());
+       input_.data(), in, 1.0f, weight_grad.data(), in);
   for (int i = 0; i < n; ++i) {
     const float* gr = grad_out.data() + static_cast<std::size_t>(i) * out;
     for (int o = 0; o < out; ++o) bias_grad[static_cast<std::size_t>(o)] += gr[o];
@@ -261,12 +262,7 @@ Tensor Conv3x3::apply(const Tensor& x) const {
            yb + static_cast<std::size_t>(i0) * w, static_cast<int>(hw));
     }
   };
-  common::ThreadPool* pool = compute_pool();
-  if (pool && pool->size() > 1 && n > 1) {
-    pool->parallel_for(0, static_cast<std::size_t>(n), run_image, 1);
-  } else {
-    for (std::size_t b = 0; b < static_cast<std::size_t>(n); ++b) run_image(b);
-  }
+  common::parallel_for(0, static_cast<std::size_t>(n), run_image);
   return y;
 }
 
@@ -286,7 +282,8 @@ Tensor Conv3x3::backward(const Tensor& grad_out) {
   const std::size_t hw = static_cast<std::size_t>(h) * w;
   Tensor grad_in({n, cin, h, w});
   // Pass 1 — input gradients, independent per image (disjoint slabs, safe to
-  // fan out): dcol_b = W^T · g_b, then fold back with col2im.
+  // fan out): dcol_b = W^T · g_b, then fold back with col2im. The dcol GEMM
+  // (M = 9·cin) fans its row panels out again, nested in the image's job.
   auto run_image = [&](std::size_t b) {
     std::vector<float> dcol(static_cast<std::size_t>(kdim) * hw);
     gemm(Trans::Yes, Trans::No, kdim, static_cast<int>(hw), cout, 1.0f,
@@ -294,12 +291,7 @@ Tensor Conv3x3::backward(const Tensor& grad_out) {
          static_cast<int>(hw), 0.0f, dcol.data(), static_cast<int>(hw));
     col2im3x3(dcol.data(), cin, h, w, grad_in.data() + b * cin * hw);
   };
-  common::ThreadPool* pool = compute_pool();
-  if (pool && pool->size() > 1 && n > 1) {
-    pool->parallel_for(0, static_cast<std::size_t>(n), run_image, 1);
-  } else {
-    for (std::size_t b = 0; b < static_cast<std::size_t>(n); ++b) run_image(b);
-  }
+  common::parallel_for(0, static_cast<std::size_t>(n), run_image);
   // Pass 2 — parameter gradients, accumulated serially in ascending image
   // order so results never depend on the pool size:
   // dW += g_b · im2col(x_b)^T, db += row sums of g_b.

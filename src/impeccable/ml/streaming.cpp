@@ -71,6 +71,7 @@ ScoreSpill ScoreSpill::file_backed(std::size_t n, const std::string& path) {
     throw std::runtime_error("ScoreSpill: cannot open " + path);
   if (::ftruncate(s.fd_, static_cast<off_t>(n * sizeof(float))) != 0) {
     ::close(s.fd_);
+    ::unlink(path.c_str());
     s.fd_ = -1;
     throw std::runtime_error("ScoreSpill: cannot size " + path);
   }

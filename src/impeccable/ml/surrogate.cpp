@@ -142,12 +142,8 @@ std::vector<float> SurrogateModel::predict_batch(
   // 100 KB, L2-resident) and the inner layers see n == 1, so they do not
   // fan out again. No shared mutable state: concurrent calls are race-free,
   // and the output is bitwise identical for any pool size.
-  auto run_image = [&](std::size_t i) { out[i] = infer_one(images[i]); };
-  if (common::ThreadPool* pool = common::compute_pool()) {
-    pool->parallel_for(0, images.size(), run_image, 1);
-  } else {
-    for (std::size_t i = 0; i < images.size(); ++i) run_image(i);
-  }
+  common::parallel_for(0, images.size(),
+                       [&](std::size_t i) { out[i] = infer_one(images[i]); });
   return out;
 }
 

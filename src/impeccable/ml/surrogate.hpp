@@ -54,8 +54,8 @@ class SurrogateModel {
   /// Thread safety: predict/predict_batch are const and run the network's
   /// cache-free infer() path with per-image scratch, so any number of threads
   /// may score through one model concurrently (the serving path depends on
-  /// this). predict_batch runs one job per image on the installed compute
-  /// pool (common::compute_pool()), serially when none is installed.
+  /// this). predict_batch runs one job per image through
+  /// common::parallel_for, serially when no compute pool is installed.
   /// Outputs are bitwise identical to the training-time forward and
   /// independent of the pool size.
   /// train() mutates the weights and must not overlap with predictions.

@@ -40,9 +40,10 @@ class ExecutionBackend {
   /// Current backend clock in seconds.
   virtual double now() = 0;
 
-  /// Pool payloads may use for intra-task parallelism (GEMM row panels,
-  /// LGA runs, MD replicas). Null for backends with no real compute
-  /// resources, e.g. SimBackend.
+  /// Pool payloads use for intra-task parallelism (GEMM row panels, LGA
+  /// runs, MD replicas): MultiCampaign::run installs it as the process
+  /// compute pool (common::ComputePoolScope) for the whole run. Null for
+  /// backends with no real compute resources, e.g. SimBackend.
   virtual common::ThreadPool* compute_pool() { return nullptr; }
 
   /// Attach a span recorder: the backend emits one cat::kTask span per task

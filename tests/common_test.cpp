@@ -254,13 +254,13 @@ TEST(ThreadPool, WaitIdleDrains) {
 TEST(ThreadPool, ParallelForCoversRange) {
   ic::ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(257);
-  ic::parallel_for(pool, 0, 257, [&](std::size_t i) { hits[i].fetch_add(1); });
+  pool.parallel_for(0, 257, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ParallelForEmptyRangeIsNoop) {
   ic::ThreadPool pool(2);
-  ic::parallel_for(pool, 5, 5, [](std::size_t) { FAIL(); });
+  pool.parallel_for(5, 5, [](std::size_t) { FAIL(); });
 }
 
 // ---------------------------------------------------------------- Kabsch

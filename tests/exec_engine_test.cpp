@@ -1,6 +1,8 @@
 // Execution engine v2 tests: work-stealing pool semantics (nesting, stealing,
-// exceptions, lifecycle) and the end-to-end determinism contract — dock() and
-// NN training must produce identical results at pool sizes 1 and 8.
+// exceptions, lifecycle), the one compute-pool channel (MultiCampaign::run
+// installs the backend's pool and restores the previous one on every exit)
+// and the end-to-end determinism contract — dock(), TIES, DeepDriveMD and NN
+// training must produce identical results whatever compute pool is installed.
 
 #include <gtest/gtest.h>
 
@@ -14,11 +16,16 @@
 #include "impeccable/chem/smiles.hpp"
 #include "impeccable/common/rng.hpp"
 #include "impeccable/common/thread_pool.hpp"
+#include "impeccable/core/campaign.hpp"
+#include "impeccable/core/deepdrivemd.hpp"
+#include "impeccable/core/multi_campaign.hpp"
 #include "impeccable/dock/engine.hpp"
 #include "impeccable/dock/receptor.hpp"
-#include "impeccable/ml/gemm.hpp"
+#include "impeccable/fe/esmacs.hpp"
+#include "impeccable/fe/ties.hpp"
 #include "impeccable/ml/layers.hpp"
 #include "impeccable/ml/optim.hpp"
+#include "impeccable/rct/backend.hpp"
 
 #include "test_support.hpp"
 
@@ -26,6 +33,10 @@ namespace ic = impeccable::common;
 namespace ml = impeccable::ml;
 namespace dock = impeccable::dock;
 namespace chem = impeccable::chem;
+namespace core = impeccable::core;
+namespace fe = impeccable::fe;
+namespace md = impeccable::md;
+namespace rct = impeccable::rct;
 
 // ---------------------------------------------------------------- pool
 
@@ -153,7 +164,7 @@ TEST(ExecEngine, DockIsIdenticalAtPoolSizes1And8) {
   const auto serial = dock::dock(*grid, mol, "L1", opts);
 
   ic::ThreadPool pool(8);
-  opts.pool = &pool;
+  const ic::ComputePoolScope scope(&pool);
   const auto parallel = dock::dock(*grid, mol, "L1", opts);
 
   EXPECT_EQ(serial.best_score, parallel.best_score);
@@ -213,13 +224,16 @@ std::vector<float> train_small_net() {
 }  // namespace
 
 TEST(ExecEngine, TrainingIsBitwiseIdenticalAcrossComputePoolSizes) {
-  ic::set_compute_pool(nullptr);
-  const auto serial = train_small_net();
-
+  std::vector<float> serial, parallel;
+  {
+    const ic::ComputePoolScope scope(nullptr);
+    serial = train_small_net();
+  }
   ic::ThreadPool pool(8);
-  ic::set_compute_pool(&pool);
-  const auto parallel = train_small_net();
-  ic::set_compute_pool(nullptr);
+  {
+    const ic::ComputePoolScope scope(&pool);
+    parallel = train_small_net();
+  }
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -227,4 +241,138 @@ TEST(ExecEngine, TrainingIsBitwiseIdenticalAcrossComputePoolSizes) {
     EXPECT_EQ(std::memcmp(&serial[i], &parallel[i], sizeof(float)), 0)
         << "param " << i << ": " << serial[i] << " vs " << parallel[i];
   }
+}
+
+// ------------------------------------------------- free energy, DeepDriveMD
+
+namespace {
+
+/// `run()` with no compute pool installed, then under 1-, 2- and 8-thread
+/// scopes: every result must equal the serial one.
+template <typename Run, typename Same>
+void expect_pool_invariant(Run run, Same same) {
+  const auto serial = [&] {
+    const ic::ComputePoolScope scope(nullptr);
+    return run();
+  }();
+  for (std::size_t threads : {1, 2, 8}) {
+    ic::ThreadPool pool(threads);
+    const ic::ComputePoolScope scope(&pool);
+    same(serial, run(), threads);
+  }
+}
+
+}  // namespace
+
+TEST(ExecEngine, TiesIsIdenticalAcrossComputePoolSizes) {
+  const auto fx = make_lpc("CCO", 41);
+  fe::TiesConfig cfg;
+  cfg.lambdas = {0.0, 0.5, 1.0};
+  cfg.replicas_per_window = 3;
+  cfg.simulation.production_steps = 40;
+  cfg.simulation.equilibration_steps = 20;
+  cfg.simulation.report_interval = 20;
+  expect_pool_invariant(
+      [&] { return fe::run_ties(fx.system, cfg, 4); },
+      [](const fe::TiesResult& a, const fe::TiesResult& b,
+         std::size_t threads) {
+        EXPECT_EQ(std::memcmp(&a.delta_g, &b.delta_g, sizeof(double)), 0)
+            << threads << " threads";
+        EXPECT_EQ(a.md_steps, b.md_steps);
+        ASSERT_EQ(a.windows.size(), b.windows.size());
+        for (std::size_t w = 0; w < a.windows.size(); ++w) {
+          const auto& ra = a.windows[w].replica_means;
+          const auto& rb = b.windows[w].replica_means;
+          ASSERT_EQ(ra.size(), rb.size());
+          EXPECT_EQ(std::memcmp(ra.data(), rb.data(), ra.size() * sizeof(double)),
+                    0)
+              << "window " << w << ", " << threads << " threads";
+        }
+      });
+}
+
+TEST(ExecEngine, DeepDriveMdIsIdenticalAcrossComputePoolSizes) {
+  // The MD ensemble fans out per simulation and the AAE's GEMMs fan out
+  // inside each round: both must leave every conformation's bits alone.
+  md::ProteinOptions popts;
+  popts.residues = 30;
+  const md::System sys = md::build_protein(21, popts);
+  core::DeepDriveMdOptions opts;
+  opts.rounds = 2;
+  opts.simulations_per_round = 3;
+  opts.simulation.equilibration_steps = 20;
+  opts.simulation.production_steps = 60;
+  opts.simulation.report_interval = 30;
+  opts.aae.epochs = 2;
+  opts.aae.batch_size = 4;
+  expect_pool_invariant(
+      [&] { return core::run_deepdrivemd(sys, opts); },
+      [](const core::DeepDriveMdResult& a, const core::DeepDriveMdResult& b,
+         std::size_t threads) {
+        EXPECT_EQ(a.md_steps, b.md_steps);
+        EXPECT_EQ(a.conformation_round, b.conformation_round);
+        ASSERT_EQ(a.conformations.size(), b.conformations.size());
+        for (std::size_t c = 0; c < a.conformations.size(); ++c)
+          ASSERT_EQ(std::memcmp(a.conformations[c].data(),
+                                b.conformations[c].data(),
+                                a.conformations[c].size() * sizeof(ic::Vec3)),
+                    0)
+              << "conformation " << c << ", " << threads << " threads";
+        ASSERT_EQ(a.rounds.size(), b.rounds.size());
+        for (std::size_t r = 0; r < a.rounds.size(); ++r)
+          EXPECT_EQ(std::memcmp(&a.rounds[r].coverage, &b.rounds[r].coverage,
+                                sizeof(double)),
+                    0)
+              << "round " << r << ", " << threads << " threads";
+      });
+}
+
+// ------------------------------------------------------------ one channel
+
+namespace {
+
+/// A one-iteration campaign small enough for the TSan lane.
+core::ScienceConfig one_pass_science() {
+  core::ScienceConfig sci;
+  sci.library_size = 24;
+  sci.iterations = 1;
+  sci.bootstrap_docks = 8;
+  sci.dock_top_fraction = 0.25;
+  sci.cg_compounds = 2;
+  sci.top_binders = 1;
+  sci.outliers_per_binder = 1;
+  sci.dock.runs = 2;
+  sci.dock.lga.population = 12;
+  sci.dock.lga.generations = 4;
+  sci.esmacs_cg = fe::cg_config(0.2);
+  sci.esmacs_cg.replicas = 2;
+  sci.esmacs_fg = fe::fg_config(0.1);
+  sci.esmacs_fg.replicas = 2;
+  sci.surrogate.epochs = 1;
+  sci.aae.epochs = 1;
+  return sci;
+}
+
+}  // namespace
+
+TEST(ExecEngine, MultiCampaignRestoresInstalledPoolOnReturnAndThrow) {
+  ic::ThreadPool outer(1);
+  const ic::ComputePoolScope scope(&outer);
+  rct::LocalBackend backend(2);
+
+  core::MultiCampaign ok(core::ExecConfig{});
+  ok.add_target(core::Target::make("POOL", 3, 30, 15), one_pass_science());
+  const auto report = ok.run(backend);
+  ASSERT_EQ(report.reports.size(), 1u);
+  EXPECT_EQ(ic::compute_pool(), &outer);
+
+  // A missing checkpoint fails in CampaignState::init, after run() has
+  // installed the backend's pool.
+  core::ExecConfig resume;
+  resume.resume_checkpoint = tmp_path("imp_pool_scope_missing.csv").string();
+  std::filesystem::remove(resume.resume_checkpoint);
+  core::MultiCampaign failing(resume);
+  failing.add_target(core::Target::make("POOL", 3, 30, 15), one_pass_science());
+  EXPECT_THROW(failing.run(backend), std::runtime_error);
+  EXPECT_EQ(ic::compute_pool(), &outer);
 }

@@ -26,32 +26,6 @@ using impeccable::common::Vec3;
 
 namespace {
 
-struct LpcFixture {
-  md::System system;
-  int rotatable = 0;
-};
-
-/// Build a small docked LPC: dock a ligand into a synthetic receptor grid,
-/// then transplant the best pose into the matching MD protein.
-LpcFixture make_lpc(const char* smiles, std::uint64_t seed) {
-  const auto grid = receptor_grid("R", seed, 21);
-  const auto mol = chem::parse_smiles(smiles);
-  dock::DockOptions dopts;
-  dopts.runs = 1;
-  dopts.lga.population = 20;
-  dopts.lga.generations = 8;
-  const auto dres = dock::dock(*grid, mol, "L", dopts);
-
-  md::ProteinOptions popts;
-  popts.residues = 50;
-  const auto protein = md::build_protein(seed, popts);
-
-  LpcFixture fx;
-  fx.system = md::build_lpc(protein, mol, dres.best_coords);
-  fx.rotatable = chem::compute_descriptors(mol).rotatable_bonds;
-  return fx;
-}
-
 fe::EsmacsConfig fast_config(int replicas) {
   fe::EsmacsConfig c = fe::cg_config(0.5);
   c.replicas = replicas;
@@ -145,9 +119,10 @@ TEST(Esmacs, DeterministicPerSeed) {
 
 TEST(Esmacs, ThreadPoolGivesSameReplicaSet) {
   auto fx = make_lpc("CCCO", 36);
-  impeccable::common::ThreadPool pool(2);
   const auto serial = fe::run_esmacs(fx.system, fx.rotatable, fast_config(3), 5);
-  const auto parallel = fe::run_esmacs(fx.system, fx.rotatable, fast_config(3), 5, &pool);
+  impeccable::common::ThreadPool pool(2);
+  const impeccable::common::ComputePoolScope scope(&pool);
+  const auto parallel = fe::run_esmacs(fx.system, fx.rotatable, fast_config(3), 5);
   ASSERT_EQ(serial.replica_means.size(), parallel.replica_means.size());
   for (std::size_t i = 0; i < serial.replica_means.size(); ++i)
     EXPECT_DOUBLE_EQ(serial.replica_means[i], parallel.replica_means[i]);

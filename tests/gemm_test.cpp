@@ -30,9 +30,7 @@ std::vector<float> random_matrix(std::size_t n, ic::Rng& rng) {
 }
 
 void expect_gemm_matches_naive(ml::Trans ta, ml::Trans tb, int M, int N, int K,
-                               float alpha, float beta, ic::Rng& rng,
-                               ic::ThreadPool* pool,
-                               const ml::GemmTiling& tiling) {
+                               float alpha, float beta, ic::Rng& rng) {
   const auto A = random_matrix(static_cast<std::size_t>(M) * K, rng);
   const auto B = random_matrix(static_cast<std::size_t>(K) * N, rng);
   const auto C0 = random_matrix(static_cast<std::size_t>(M) * N, rng);
@@ -44,7 +42,7 @@ void expect_gemm_matches_naive(ml::Trans ta, ml::Trans tb, int M, int N, int K,
                  ref.data(), N);
   auto got = C0;
   ml::gemm(ta, tb, M, N, K, alpha, A.data(), lda, B.data(), ldb, beta,
-           got.data(), N, pool, tiling);
+           got.data(), N);
 
   for (std::size_t i = 0; i < ref.size(); ++i)
     ASSERT_NEAR(ref[i], got[i], 1e-4f)
@@ -57,37 +55,33 @@ void expect_gemm_matches_naive(ml::Trans ta, ml::Trans tb, int M, int N, int K,
 
 TEST(Gemm, ExhaustiveSmallShapesMatchNaive) {
   ic::Rng rng(1234);
-  // Tiny tiles force every remainder path (partial register blocks, partial
-  // K panels, partial row panels) even at these small sizes.
-  ml::GemmTiling tiling;
-  tiling.kc = 3;
-  tiling.mc = 2;
+  // Every register-tile remainder path (leftover rows, narrower column
+  // tiles, scalar columns); BitwiseEqualsNaive crosses the K-panel and
+  // row-block edges.
   const int dims[] = {1, 2, 3, 4, 5, 8, 13, 17};
   for (int M : dims)
     for (int N : dims)
       for (int K : dims)
         for (auto ta : {ml::Trans::No, ml::Trans::Yes})
           for (auto tb : {ml::Trans::No, ml::Trans::Yes})
-            expect_gemm_matches_naive(ta, tb, M, N, K, 1.0f, 0.0f, rng, nullptr,
-                                      tiling);
+            expect_gemm_matches_naive(ta, tb, M, N, K, 1.0f, 0.0f, rng);
 }
 
 TEST(Gemm, AlphaBetaVariantsMatchNaive) {
   ic::Rng rng(99);
-  ml::GemmTiling tiling;  // default tiling, shapes not multiples of any tile
+  // Shapes not multiples of any tile.
   for (float alpha : {1.0f, 0.5f, -2.0f})
     for (float beta : {0.0f, 1.0f, 0.25f})
       for (auto ta : {ml::Trans::No, ml::Trans::Yes})
         for (auto tb : {ml::Trans::No, ml::Trans::Yes})
-          expect_gemm_matches_naive(ta, tb, 37, 19, 23, alpha, beta, rng,
-                                    nullptr, tiling);
+          expect_gemm_matches_naive(ta, tb, 37, 19, 23, alpha, beta, rng);
 }
 
 TEST(Gemm, ZeroDimensionsAreHandled) {
   ic::Rng rng(5);
   // K == 0 degenerates to beta-scaling; M == 0 / N == 0 are no-ops.
   expect_gemm_matches_naive(ml::Trans::No, ml::Trans::No, 4, 3, 0, 1.0f, 0.5f,
-                            rng, nullptr, {});
+                            rng);
   std::vector<float> c{1.0f, 2.0f};
   ml::gemm(ml::Trans::No, ml::Trans::No, 0, 2, 3, 1.0f, nullptr, 3, nullptr, 2,
            0.0f, c.data(), 2);
@@ -97,7 +91,7 @@ TEST(Gemm, ZeroDimensionsAreHandled) {
 
 TEST(Gemm, ResultIsBitwiseInvariantAcrossPoolSizes) {
   ic::Rng rng(31);
-  const int M = 67, N = 29, K = 41;  // several mc=32 row panels + remainder
+  const int M = 67, N = 29, K = 41;  // two 32-row panels + remainder
   const auto A = random_matrix(static_cast<std::size_t>(M) * K, rng);
   const auto B = random_matrix(static_cast<std::size_t>(K) * N, rng);
 
@@ -107,9 +101,10 @@ TEST(Gemm, ResultIsBitwiseInvariantAcrossPoolSizes) {
 
   for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     ic::ThreadPool pool(threads);
+    const ic::ComputePoolScope scope(&pool);
     std::vector<float> par(static_cast<std::size_t>(M) * N, 0.0f);
     ml::gemm(ml::Trans::No, ml::Trans::No, M, N, K, 1.0f, A.data(), K,
-             B.data(), N, 0.0f, par.data(), N, &pool);
+             B.data(), N, 0.0f, par.data(), N);
     ASSERT_EQ(std::memcmp(serial.data(), par.data(),
                           serial.size() * sizeof(float)), 0)
         << "pool size " << threads;
@@ -131,15 +126,12 @@ TEST(Gemm, BitwiseEqualsNaive) {
   const Shape shapes[] = {
       {8, 1024, 36},  {16, 256, 72}, {16, 64, 144},  // the surrogate's convs
       {1, 32, 256},   // the surrogate's first dense layer at one image
-      {37, 29, 300},  // M % 4 != 0, N % 8 != 0, K > kc (two panels)
-      {67, 13, 530},  // three mc row panels, three K panels
+      {37, 29, 300},  // M % 4 != 0, N % 8 != 0, two K panels, two row blocks
+      {67, 13, 530},  // three 32-row blocks, three 256-deep K panels
       {12, 61, 9},    // every tile width, then scalar columns
       {3, 7, 5},      // smaller than one tile in both directions
       {4, 8, 1},      // exactly one tile, one k
   };
-  ml::GemmTiling tiny;  // panel and row-block edges inside a tile
-  tiny.kc = 5;
-  tiny.mc = 6;
   ic::ThreadPool pool2(2), pool8(8);
   ic::Rng rng(2024);
   for (const Shape& sh : shapes) {
@@ -156,22 +148,21 @@ TEST(Gemm, BitwiseEqualsNaive) {
             ml::gemm_naive(ta, tb, sh.M, sh.N, sh.K, alpha, A.data(), lda,
                            B.data(), ldb, beta, ref.data(), sh.N);
             for (const ml::GemmIsa isa : isas)
-              for (const ml::GemmTiling& tiling : {ml::GemmTiling{}, tiny})
-                for (ic::ThreadPool* pool :
-                     {static_cast<ic::ThreadPool*>(nullptr), &pool2, &pool8}) {
-                  auto got = C0;
-                  ml::gemm_on(isa, ta, tb, sh.M, sh.N, sh.K, alpha, A.data(),
-                              lda, B.data(), ldb, beta, got.data(), sh.N, pool,
-                              tiling);
-                  ASSERT_EQ(std::memcmp(ref.data(), got.data(),
-                                        ref.size() * sizeof(float)), 0)
-                      << ml::gemm_isa_name(isa) << " M=" << sh.M
-                      << " N=" << sh.N << " K=" << sh.K
-                      << " ta=" << (ta == ml::Trans::Yes)
-                      << " tb=" << (tb == ml::Trans::Yes) << " alpha=" << alpha
-                      << " beta=" << beta << " kc=" << tiling.kc
-                      << " pool=" << (pool ? pool->size() : 0);
-                }
+              for (ic::ThreadPool* pool :
+                   {static_cast<ic::ThreadPool*>(nullptr), &pool2, &pool8}) {
+                const ic::ComputePoolScope scope(pool);
+                auto got = C0;
+                ml::gemm_on(isa, ta, tb, sh.M, sh.N, sh.K, alpha, A.data(),
+                            lda, B.data(), ldb, beta, got.data(), sh.N);
+                ASSERT_EQ(std::memcmp(ref.data(), got.data(),
+                                      ref.size() * sizeof(float)), 0)
+                    << ml::gemm_isa_name(isa) << " M=" << sh.M
+                    << " N=" << sh.N << " K=" << sh.K
+                    << " ta=" << (ta == ml::Trans::Yes)
+                    << " tb=" << (tb == ml::Trans::Yes) << " alpha=" << alpha
+                    << " beta=" << beta
+                    << " pool=" << (pool ? pool->size() : 0);
+              }
           }
   }
 }

@@ -5,8 +5,10 @@
 // contract, and the enrichment-denominator regression.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
+#include <csignal>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -311,7 +313,7 @@ TEST(LigandSource, ImagesBitwiseAcrossComputePoolSizes) {
   const chem::CompoundLibrary library = chem::generate_library("POOL", n, 91);
 
   // Serial reference: no compute pool installed.
-  const ComputePoolScope serial(nullptr);
+  const common::ComputePoolScope serial(nullptr);
   std::vector<chem::Image> ref;
   lazy.images(0, n, ref);
   ASSERT_EQ(ref.size(), n);
@@ -330,7 +332,7 @@ TEST(LigandSource, ImagesBitwiseAcrossComputePoolSizes) {
 
   for (const std::size_t threads : {1, 2, 8}) {
     common::ThreadPool pool(threads);
-    const ComputePoolScope scope(&pool);
+    const common::ComputePoolScope scope(&pool);
 
     std::vector<chem::Image> got;
     lazy.images(0, n, got);
@@ -386,12 +388,12 @@ TEST(LigandSource, MalformedSmilesThrowsFromLowestIndexUnderAnyPool) {
     return std::string("no SmilesError");
   };
   {
-    const ComputePoolScope serial(nullptr);
+    const common::ComputePoolScope serial(nullptr);
     EXPECT_EQ(build_error(), expected);
   }
   for (const std::size_t threads : {2, 8}) {
     common::ThreadPool pool(threads);
-    const ComputePoolScope scope(&pool);
+    const common::ComputePoolScope scope(&pool);
     EXPECT_EQ(build_error(), expected) << threads << " threads";
     EXPECT_EQ(pool.submit(build_error).get(), expected)
         << "nested, " << threads << " threads";
@@ -494,6 +496,30 @@ TEST(ScoreSpill, RangeCheckDoesNotWrapAround) {
   }
 }
 
+TEST(ScoreSpill, FailedSizingLeavesNoFile) {
+  // Cap this process's file size at zero: the spill file opens fine but
+  // sizing it fails (EFBIG, as ENOSPC on a full disk). The error must not
+  // pass silently, and the half-made file must not be left behind.
+  const auto dir = tmp_path("imp_spill_sizing_failure");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit capped = saved;
+  capped.rlim_cur = 0;
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &capped), 0);
+  EXPECT_THROW((void)ml::ScoreSpill::file_backed(1000,
+                                                 (dir / "scores.f32").string()),
+               std::runtime_error);
+  EXPECT_EQ(setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ScoreSpill, SelectTopKRejectsZeroChunk) {
   auto spill = ml::ScoreSpill::in_memory(16);
   // Used to loop forever: a zero-length buffer never advances the scan.
@@ -540,6 +566,33 @@ TEST(LibraryBackend, ScienceFingerprintIdenticalAcrossBackends) {
   // The tentpole guarantee: the out-of-core path is a pure execution
   // concern — byte-identical science.
   EXPECT_EQ(report_a.science_fingerprint(), report_b.science_fingerprint());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(LibraryBackend, StaleStoreRefreshKeepsForeignFiles) {
+  // A user-supplied store directory holding a stale 3-record store next to
+  // a file and a subdirectory the campaign does not own: regenerating the
+  // store replaces its shards and nothing else.
+  const auto dir = tmp_path("imp_backend_foreign_store");
+  write_small_store(dir, 3);
+  std::ofstream(dir / "keep.txt") << "user notes\n";
+  std::filesystem::create_directories(dir / "sub");
+  std::ofstream(dir / "sub" / "data.bin") << "user data\n";
+
+  auto mmap_exec = slim_exec();
+  mmap_exec.library_backend = core::ExecConfig::LibraryBackend::kMmapStore;
+  mmap_exec.library_store_dir = dir.string();
+  core::Campaign in_memory(core::Target::make("3CL-like", 42, 40, 21),
+                           slim_science(), slim_exec());
+  core::Campaign mmap(core::Target::make("3CL-like", 42, 40, 21),
+                      slim_science(), mmap_exec);
+  EXPECT_EQ(in_memory.run().science_fingerprint(),
+            mmap.run().science_fingerprint());
+
+  EXPECT_TRUE(std::filesystem::exists(dir / "keep.txt"));
+  EXPECT_TRUE(std::filesystem::exists(dir / "sub" / "data.bin"));
+  EXPECT_EQ(chem::LigandStore::open(dir.string()).size(),
+            slim_science().library_size);
   std::filesystem::remove_all(dir);
 }
 

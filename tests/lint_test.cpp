@@ -218,6 +218,32 @@ TEST(LintRules, DetachedThreadFiresOnlyInServe) {
                   .empty());
 }
 
+TEST(LintRules, RawPoolInstallFiresInTests) {
+  const char* raw =
+      "void f(ic::ThreadPool& pool) {\n"
+      "  ic::set_compute_pool(&pool);\n"
+      "  run();\n"
+      "  ic::set_compute_pool(nullptr);\n"
+      "}\n";
+  auto diags = lint_as("tests/exec_engine_test.cpp", raw);
+  ASSERT_EQ(diags.size(), 2u);
+  EXPECT_EQ(diags[0].rule, "no-raw-pool-install");
+  EXPECT_EQ(diags[0].line, 2);
+  EXPECT_EQ(diags[1].line, 4);
+  // The registry itself defines and calls it.
+  EXPECT_TRUE(lint_as("src/impeccable/common/thread_pool.cpp", raw).empty());
+}
+
+TEST(LintRules, ComputePoolScopeIsClean) {
+  EXPECT_TRUE(lint_as("tests/exec_engine_test.cpp",
+                      "void f(ic::ThreadPool& pool) {\n"
+                      "  const ic::ComputePoolScope scope(&pool);\n"
+                      "  run();\n"
+                      "}\n"
+                      "using impeccable::common::set_compute_pool;\n")
+                  .empty());
+}
+
 TEST(LintScanner, LiteralsAndCommentsDoNotFire) {
   const char* ok = R"(
 // rand() in a comment, and time() too

@@ -31,6 +31,7 @@
 
 namespace ml = impeccable::ml;
 namespace chem = impeccable::chem;
+using impeccable::common::ComputePoolScope;
 using impeccable::common::Rng;
 using impeccable::common::Vec3;
 

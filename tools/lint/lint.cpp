@@ -175,6 +175,18 @@ void rule_detached_thread(const Scan& scan, Sink& sink) {
   }
 }
 
+void rule_raw_pool_install(const Scan& scan, Sink& sink) {
+  const auto& toks = scan.tokens;
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    const Token& t = toks[i];
+    if (!t.is_ident || t.text != "set_compute_pool" || !next_is(toks, i, "("))
+      continue;
+    sink.report(t.line, "no-raw-pool-install",
+                "raw set_compute_pool() call: an early exit leaves the pool "
+                "installed; use common::ComputePoolScope");
+  }
+}
+
 }  // namespace
 
 FileClass classify(std::string_view rel_path) {
@@ -203,6 +215,7 @@ FileClass classify(std::string_view rel_path) {
   cls.in_stages = p.find("core/stages/") != std::string::npos ||
                   p.find("core/multi_campaign") != std::string::npos;
   cls.in_serve = cls.in_src && p.find("/serve/") != std::string::npos;
+  cls.is_pool_registry = p.rfind("src/impeccable/common/thread_pool.", 0) == 0;
   return cls;
 }
 
@@ -221,6 +234,7 @@ std::vector<Diagnostic> lint_source(std::string_view text,
   if (cls.is_header) rule_pragma_once(scan, sink);
   if (cls.in_stages) rule_unordered_in_stages(scan, sink);
   if (cls.in_serve) rule_detached_thread(scan, sink);
+  if (!cls.is_pool_registry) rule_raw_pool_install(scan, sink);
   std::sort(out.begin(), out.end(), [](const Diagnostic& a,
                                        const Diagnostic& b) {
     if (a.file != b.file) return a.file < b.file;

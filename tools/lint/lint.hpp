@@ -52,6 +52,10 @@
 //                       joinable handle whose shutdown path joins it.
 //                       (serve/ is under src/, so it also inherits
 //                       no-nondet-source and no-iostream-in-lib.)
+//   no-raw-pool-install everywhere but common/thread_pool.*. A raw
+//                       set_compute_pool(p) stays installed when an
+//                       exception or a test ASSERT skips its reset; use
+//                       common::ComputePoolScope.
 //
 // Suppressions:
 //   // lint:allow(rule-id)            this line (or a /*...*/ starting on it)
@@ -84,6 +88,7 @@ struct FileClass {
   bool in_chem_store = false;   ///< chem/store*, chem/ligand_source*
   bool in_stages = false;       ///< under core/stages/
   bool in_serve = false;        ///< under src/impeccable/serve/
+  bool is_pool_registry = false;  ///< src/impeccable/common/thread_pool.*
 };
 
 /// Classify a repo-relative path ("src/impeccable/dock/score.cpp").
