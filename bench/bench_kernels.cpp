@@ -3,8 +3,9 @@
 // parallel_for; naive vs blocked GEMM (square and the surrogate's conv
 // shapes), Dense::forward and surrogate inference; scalar and batched pose
 // evaluation per fixture ligand, the pool-wide scorer rate, seeded dock()
-// runs and dock() at pool sizes 1..8; the MD step and cell list; chem,
-// Chamfer, LOF and block-averaging kernels.
+// runs and dock() at pool sizes 1..8; the MD step and cell list; chem
+// (2D layout at 12/20/30 atoms, depiction), Chamfer, LOF and
+// block-averaging kernels.
 //
 // GFLOP/s counters on pose evaluation, the MD step and predict_batch divide
 // the analytic flop models (dock::flops_per_evaluation, md::flops_per_md_step,
@@ -27,6 +28,7 @@
 
 #include "impeccable/chem/depiction.hpp"
 #include "impeccable/chem/fingerprint.hpp"
+#include "impeccable/chem/layout.hpp"
 #include "impeccable/chem/library.hpp"
 #include "impeccable/chem/scaffold.hpp"
 #include "impeccable/chem/smiles.hpp"
@@ -441,6 +443,23 @@ static void BM_MorganFingerprint(benchmark::State& state) {
   count_items(state);
 }
 BENCHMARK(BM_MorganFingerprint);
+
+static void BM_Layout2d(benchmark::State& state) {
+  // The first generated compound with the requested atom count: a
+  // drug-like graph, not a chain, at a fixed size.
+  const int atoms = static_cast<int>(state.range(0));
+  chem::Molecule mol;
+  for (std::uint64_t i = 0; mol.atom_count() != atoms; ++i)
+    mol = chem::generate_compound(5, i);
+  for (auto _ : state) benchmark::DoNotOptimize(chem::layout_2d(mol));
+  count_items(state);
+  // Repulsion pairs swept at the default 250 iterations.
+  state.counters["pairs_per_second"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * 250.0 * atoms * (atoms - 1) /
+          2.0,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_Layout2d)->Arg(12)->Arg(20)->Arg(30);
 
 static void BM_Depiction(benchmark::State& state) {
   const auto mol = chem::parse_smiles(kIbuprofen);

@@ -30,11 +30,12 @@
 #      pool (the work-stealing pool itself: exec_engine_test) and ml (the
 #      GEMM kernel over 2- and 8-thread pools and the per-image
 #      predict_batch fan-out: gemm_test, ml_test);
-#   6. native preset (-march=native Release): the `dock`- and `ml`-labelled
-#      suites — the batched SIMD scorer's bitwise-equivalence gate, the GEMM
-#      pinned to gemm_naive on every ISA variant and the surrogate's pinned
-#      score bits must hold under the widest vectorization the host
-#      supports, not just the portable default codegen;
+#   6. native preset (-march=native Release): the `dock`-, `ml`- and
+#      `chem`-labelled suites — the batched SIMD scorer's bitwise-equivalence
+#      gate, the GEMM pinned to gemm_naive on every ISA variant, the
+#      surrogate's pinned score bits and the pinned layout_2d/embed_3d
+#      digests must hold under the widest vectorization the host supports,
+#      not just the portable default codegen;
 #   7. benchmark self-test (perfbench/run.py --self-test): builds the
 #      repository benchmark against the current src/ and runs every
 #      workload against its real and a deliberately wrong reference, so an
@@ -120,7 +121,7 @@ echo "== configure + build (native preset: -march=native Release) =="
 cmake --preset native -DIMPECCABLE_WERROR=ON
 cmake --build --preset native -j "$JOBS"
 
-echo "== native: dock- and ml-labeled tests (bitwise kernel gates) =="
+echo "== native: dock-, ml- and chem-labeled tests (bitwise kernel gates) =="
 ctest --preset native-kernels -j "$JOBS"
 
 echo "== benchmark self-test (perfbench: build + ok_frac gates) =="

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "impeccable/chem/layout.hpp"
 
@@ -50,6 +51,9 @@ void draw_segment(Image& img, int channel, double x0, double y0, double x1,
 }  // namespace
 
 Image depict(const Molecule& mol, const DepictionOptions& opts) {
+  if (opts.channels < 1 || opts.height < 1 || opts.width < 1)
+    throw std::invalid_argument(
+        "depict: channels, height and width must be at least 1");
   Image img;
   img.channels = opts.channels;
   img.height = opts.height;

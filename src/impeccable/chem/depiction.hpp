@@ -45,7 +45,8 @@ struct Image {
   }
 };
 
-/// Rasterize the molecule's 2D depiction.
+/// Rasterize the molecule's 2D depiction. Throws std::invalid_argument when
+/// opts.channels, opts.height or opts.width is below 1.
 Image depict(const Molecule& mol, const DepictionOptions& opts = {});
 
 }  // namespace impeccable::chem

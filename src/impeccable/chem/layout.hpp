@@ -8,7 +8,12 @@
 //                     docking ligand (conformer enumeration input, Sec. 3.2 S1)
 //                     and the MD bead topology.
 //
-// Both are deterministic given (molecule, seed).
+// Both are deterministic given (molecule, seed), and bit-stable across
+// builds: layout_2d's all-pairs repulsion is a vectorized sweep per row
+// whose forces see the IEEE operations of the serial pairwise loop in the
+// same order (j-side terms in place, i-side terms added after the sweep in
+// ascending j), and layout.cpp builds with -ffp-contract=off.
+// Layout.BitsPinned and Layout.Embed3dBitsPinned pin both by digest.
 
 #include <cstdint>
 #include <vector>

@@ -86,6 +86,15 @@ template <int kLanes>
   }
 }
 
+/// The beta step of the order contract for one C row: beta == 0 clears it
+/// (NaN or Inf in C do not survive), beta == 1 leaves it untouched.
+inline void scale_row(float* c, int N, float beta) {
+  if (beta == 0.0f)
+    std::fill(c, c + N, 0.0f);
+  else if (beta != 1.0f)
+    for (int j = 0; j < N; ++j) c[j] *= beta;
+}
+
 /// C rows [i0, i1) += alpha * A·B over K panels. Every C element sees the
 /// same operations in the same order whatever the row partition, panel or
 /// tile width it lands in — beta scaling, then c += (alpha·a[k])·b[k][j] for
@@ -102,13 +111,8 @@ template <int kLanes>
   const float* const A = g.A;
   const float* const B = g.B;
   float* const C = g.C;
-  for (std::size_t i = i0; i < i1; ++i) {
-    float* c = C + i * static_cast<std::size_t>(ldc);
-    if (beta == 0.0f)
-      std::fill(c, c + N, 0.0f);
-    else if (beta != 1.0f)
-      for (int j = 0; j < N; ++j) c[j] *= beta;
-  }
+  for (std::size_t i = i0; i < i1; ++i)
+    scale_row(C + i * static_cast<std::size_t>(ldc), N, beta);
   alignas(64) float x[kTileRows * kPanel];
   for (int k0 = 0; k0 < K; k0 += kPanel) {
     const int k1 = std::min(K, k0 + kPanel), kn = k1 - k0;
@@ -218,6 +222,77 @@ void pack_transposed(const float* X, int ld, int rows, int cols, float* out) {
   }
 }
 
+/// kBlocks·4 columns of one C row of an NT product, B's stored rows read in
+/// place: c[j] += (alpha·a[k])·b[j][k] for k ascending. Each 4×4 block of B
+/// (4 rows j, 4 steps k) is transposed in registers, so one vector holds
+/// b[j..j+3][k] and lane l sees exactly the scalar multiply and add in k
+/// order; the kBlocks accumulators are independent add chains.
+template <int kBlocks>
+[[gnu::always_inline]] inline void nt_columns(const float* a, float alpha,
+                                              int K, const float* b,
+                                              std::size_t ldb, float* c) {
+  using V = Lanes<4>::type;
+  V t[kBlocks];
+  for (int q = 0; q < kBlocks; ++q) std::memcpy(&t[q], c + 4 * q, sizeof(V));
+  int k = 0;
+  for (; k + 4 <= K; k += 4) {
+    const float x0 = alpha * a[k], x1 = alpha * a[k + 1],
+                x2 = alpha * a[k + 2], x3 = alpha * a[k + 3];
+#pragma GCC unroll 4
+    for (int q = 0; q < kBlocks; ++q) {
+      const float* r = b + 4 * q * ldb + k;
+      V r0, r1, r2, r3;
+      std::memcpy(&r0, r, sizeof(V));
+      std::memcpy(&r1, r + ldb, sizeof(V));
+      std::memcpy(&r2, r + 2 * ldb, sizeof(V));
+      std::memcpy(&r3, r + 3 * ldb, sizeof(V));
+      const V lo01 = __builtin_shufflevector(r0, r1, 0, 4, 1, 5);
+      const V lo23 = __builtin_shufflevector(r2, r3, 0, 4, 1, 5);
+      const V hi01 = __builtin_shufflevector(r0, r1, 2, 6, 3, 7);
+      const V hi23 = __builtin_shufflevector(r2, r3, 2, 6, 3, 7);
+      t[q] += x0 * __builtin_shufflevector(lo01, lo23, 0, 1, 4, 5);
+      t[q] += x1 * __builtin_shufflevector(lo01, lo23, 2, 3, 6, 7);
+      t[q] += x2 * __builtin_shufflevector(hi01, hi23, 0, 1, 4, 5);
+      t[q] += x3 * __builtin_shufflevector(hi01, hi23, 2, 3, 6, 7);
+    }
+  }
+  for (; k < K; ++k) {
+    const float x = alpha * a[k];
+    for (int q = 0; q < kBlocks; ++q) {
+      const float* r = b + 4 * q * ldb + k;
+      const V col = {r[0], r[ldb], r[2 * ldb], r[3 * ldb]};
+      t[q] += x * col;
+    }
+  }
+  for (int q = 0; q < kBlocks; ++q) std::memcpy(c + 4 * q, &t[q], sizeof(V));
+}
+
+/// C = alpha·A·Bᵀ + beta·C for M below one register tile, with B stored N×K
+/// and read in place. Packing Bᵀ costs all N·K elements per call — for the
+/// surrogate's dense layer at one image, several times the product itself.
+/// Same order contract as gemm_rows_nn: beta scaling, then
+/// c += (alpha·a[k])·b[j][k] for k ascending.
+void gemm_small_nt(int M, int N, int K, float alpha, const float* A, int lda,
+                   const float* B, int ldb, float beta, float* C, int ldc) {
+  const std::size_t ldbz = static_cast<std::size_t>(ldb);
+  for (int i = 0; i < M; ++i) {
+    const float* a = A + static_cast<std::size_t>(i) * lda;
+    float* c = C + static_cast<std::size_t>(i) * ldc;
+    scale_row(c, N, beta);
+    int j = 0;
+    for (; j + 16 <= N; j += 16)
+      nt_columns<4>(a, alpha, K, B + j * ldbz, ldbz, c + j);
+    for (; j + 4 <= N; j += 4)
+      nt_columns<1>(a, alpha, K, B + j * ldbz, ldbz, c + j);
+    for (; j < N; ++j) {
+      const float* b = B + j * ldbz;
+      float cj = c[j];
+      for (int k = 0; k < K; ++k) cj += (alpha * a[k]) * b[k];
+      c[j] = cj;
+    }
+  }
+}
+
 void gemm_dispatch(RowsKernel rows, Trans ta, Trans tb, int M, int N, int K,
                    float alpha, const float* A, int lda, const float* B,
                    int ldb, float beta, float* C, int ldc) {
@@ -244,6 +319,10 @@ void gemm_dispatch(RowsKernel rows, Trans ta, Trans tb, int M, int N, int K,
     pack_transposed(A, lda, M, K, p);
     A = p;
     lda = K;
+  }
+  if (tb == Trans::Yes && M < kTileRows) {
+    gemm_small_nt(M, N, K, alpha, A, lda, B, ldb, beta, C, ldc);
+    return;
   }
   if (tb == Trans::Yes) {
     // Stored N×K (ldb); pack to K×N.

@@ -6,7 +6,9 @@
 // Layout is row-major throughout. The kernel computes
 //     C (M×N) = alpha * op(A) * op(B) + beta * C
 // with op ∈ {identity, transpose}. Transposed operands are packed into
-// reused per-thread scratch once per call, then a register-tile
+// reused per-thread scratch once per call — except a transposed B under
+// fewer than 4 rows of C (Dense at one image), whose stored rows are read in
+// place through 4×4 register transposes. Then a register-tile
 // micro-kernel — 4 rows of C × 2 vectors — streams over 256-deep K panels:
 // its eight vector accumulators stay in registers for a whole panel, so C is
 // loaded and stored once per panel. Leftover columns run narrower tiles,

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include "impeccable/chem/depiction.hpp"
 #include "impeccable/chem/descriptors.hpp"
@@ -17,6 +19,7 @@
 #include "impeccable/chem/protonation.hpp"
 #include "impeccable/chem/scaffold.hpp"
 #include "impeccable/chem/smiles.hpp"
+#include "impeccable/chem/store.hpp"
 #include "impeccable/chem/substructure.hpp"
 #include "impeccable/common/vec3.hpp"
 
@@ -173,6 +176,57 @@ TEST(Layout2d, Deterministic) {
   }
 }
 
+namespace {
+
+/// A sweep of generated drug-like molecules (10–40 heavy atoms), so the
+/// repulsion rows cover every vector remainder length.
+std::vector<chem::Molecule> layout_sweep(std::size_t count) {
+  std::vector<chem::Molecule> mols;
+  for (std::uint64_t i = 0; i < count; ++i)
+    mols.push_back(chem::generate_compound(31, i));
+  return mols;
+}
+
+}  // namespace
+
+TEST(Layout, BitsPinned) {
+  // layout_2d's coordinates, pinned by an FNV-1a digest of their bits. The
+  // vectorized repulsion sweep gives every force the IEEE operations of the
+  // serial pairwise loop in the same order, so no vector width or
+  // -march=native build may move a bit. The digest is the serial loop's.
+  const auto mols = layout_sweep(32);
+  int min_atoms = 1 << 30, max_atoms = 0;
+  std::uint64_t h = chem::kFnvOffset64;
+  for (const auto& mol : mols) {
+    min_atoms = std::min(min_atoms, mol.atom_count());
+    max_atoms = std::max(max_atoms, mol.atom_count());
+    for (const std::uint64_t seed : {7u, 9u})
+      for (const int iterations : {1, 37, 250}) {
+        const auto pos = chem::layout_2d(mol, seed, iterations);
+        ASSERT_EQ(pos.size(), static_cast<std::size_t>(mol.atom_count()));
+        h = chem::fnv1a64(pos.data(), pos.size() * sizeof(chem::Point2), h);
+      }
+  }
+  EXPECT_LE(min_atoms, 12);
+  EXPECT_GE(max_atoms, 30);
+  EXPECT_EQ(h, 0xafc895104e0254ebull);
+}
+
+TEST(Layout, Embed3dBitsPinned) {
+  // embed_3d's coordinates (its 2D start, restraint lists and 400 descent
+  // steps), pinned by an FNV-1a digest of their bits.
+  const auto mols = layout_sweep(16);
+  std::uint64_t h = chem::kFnvOffset64;
+  for (const auto& mol : mols)
+    for (const std::uint64_t seed : {7u, 9u}) {
+      const auto pos = chem::embed_3d(mol, seed);
+      ASSERT_EQ(pos.size(), static_cast<std::size_t>(mol.atom_count()));
+      h = chem::fnv1a64(pos.data(),
+                        pos.size() * sizeof(impeccable::common::Vec3), h);
+    }
+  EXPECT_EQ(h, 0xada4f85875cd1f2dull);
+}
+
 TEST(Embed3d, BondLengthsNearIdeal) {
   const auto mol = chem::parse_smiles("CCO");
   const auto pos = chem::embed_3d(mol, 5);
@@ -221,6 +275,23 @@ TEST(Depiction, ShapeAndRange) {
     sum += v;
   }
   EXPECT_GT(sum, 1.0f);  // something was drawn
+}
+
+TEST(Depiction, RejectsNonPositiveDimensions) {
+  // With no channel there is nowhere to splat an atom, and a negative size
+  // would reach the image allocation.
+  const auto mol = chem::parse_smiles("CC(=O)Oc1ccccc1C(=O)O");
+  for (const auto& [c, h, w] : {std::array<int, 3>{0, 32, 32},
+                                std::array<int, 3>{-1, 32, 32},
+                                std::array<int, 3>{4, 0, 32},
+                                std::array<int, 3>{4, 32, -3}}) {
+    chem::DepictionOptions opts;
+    opts.channels = c;
+    opts.height = h;
+    opts.width = w;
+    EXPECT_THROW(chem::depict(mol, opts), std::invalid_argument)
+        << c << "x" << h << "x" << w;
+  }
 }
 
 TEST(Depiction, PolarChannelLightsUpForPolarMolecule) {

@@ -131,6 +131,11 @@ TEST(Gemm, BitwiseEqualsNaive) {
       {12, 61, 9},    // every tile width, then scalar columns
       {3, 7, 5},      // smaller than one tile in both directions
       {4, 8, 1},      // exactly one tile, one k
+      // Below one tile, NT reads B's rows in place: 16- and 4-column
+      // blocks, scalar columns, and k steps left over from 4-deep blocks.
+      {1, 21, 7},
+      {2, 37, 261},
+      {3, 19, 6},
   };
   ic::ThreadPool pool2(2), pool8(8);
   ic::Rng rng(2024);
