@@ -1,7 +1,8 @@
 // The hot-kernel benchmark suite: every per-work-unit cost the Table 2/3
 // models scale up, in one google-benchmark binary. Pool submit and
 // parallel_for; naive vs blocked GEMM (square and the surrogate's conv
-// shapes), Dense::forward and surrogate inference; scalar and batched pose
+// shapes), the surrogate's Conv3x3 layers, Dense::forward and surrogate
+// inference; scalar and batched pose
 // evaluation per fixture ligand, the pool-wide scorer rate, seeded dock()
 // runs and dock() at pool sizes 1..8; the MD step and cell list; chem
 // (2D layout at 12/20/30 atoms, depiction), Chamfer, LOF and
@@ -171,6 +172,27 @@ BENCHMARK(BM_GemmConvShapes)
     ->Args({8, 1024, 36})
     ->Args({16, 256, 72})
     ->Args({16, 64, 144});
+
+// The surrogate's three convolution layers at one image, as inference runs
+// them (Conv3x3::infer: bias, then the implicit GEMM over the padded image):
+// 4→8 channels at 32×32, 8→16 at 16×16 and the residual 16→16 at 8×8.
+// The flop count is the layer's GEMM, 2·Cout·H·W·9·Cin; the row label names
+// the GEMM ISA variant this host dispatched to.
+static void BM_Conv3x3Infer(benchmark::State& state) {
+  struct Shape {
+    int cin, cout, hw;
+  };
+  constexpr Shape kShapes[] = {{4, 8, 32}, {8, 16, 16}, {16, 16, 8}};
+  const Shape& sh = kShapes[state.range(0)];
+  state.SetLabel(ml::gemm_isa_name(ml::gemm_isa()));
+  Rng rng(5);
+  const ml::Conv3x3 conv(sh.cin, sh.cout, rng);
+  const ml::Tensor x = ml::Tensor::randn({1, sh.cin, sh.hw, sh.hw}, rng, 1.0f);
+  for (auto _ : state) benchmark::DoNotOptimize(conv.infer(x));
+  count_items(state);
+  report_gflops(state, 2.0 * sh.cout * sh.hw * sh.hw * 9 * sh.cin);
+}
+BENCHMARK(BM_Conv3x3Infer)->DenseRange(0, 2);
 
 // ---------------------------------------------------------------- surrogate
 

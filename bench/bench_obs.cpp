@@ -184,9 +184,11 @@ int main(int argc, char** argv) {
   // End-to-end: the quickstart workload with no recorder installed vs with
   // a live recorder capturing every span. The acceptance bar is < 2% here
   // too.
+  // The recorder outlives the pool: a parallel_for helper ticket that
+  // started under it closes its span on it even after the loop returned.
+  obs::Recorder qrec;
   common::ThreadPool pool;
   const common::ComputePoolScope pool_scope(&pool);
-  obs::Recorder qrec;
   Timed q_noop, q_rec;
   std::vector<double> qn_reps, qr_reps;
   constexpr int kQReps = 31;

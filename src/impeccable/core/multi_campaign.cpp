@@ -56,6 +56,18 @@ MultiCampaignReport MultiCampaign::run(rct::ExecutionBackend& backend) {
   // Every instrumented layer below (dock, ml, fe, pool) records through the
   // global recorder; restored on scope exit.
   obs::ScopedRecorder scoped(&rec);
+  // parallel_for leaves helper tickets queued by design, and a pool job
+  // opens its pool:job span on the recorder global when it starts. A ticket
+  // that starts during this call would end its span on `rec` after a throw
+  // (or a late steal) let `rec` go, so on every exit this guard — declared
+  // after `scoped`, hence destroyed first — waits for the backend's pool to
+  // go idle.
+  struct PoolDrain {
+    common::ThreadPool* pool;
+    ~PoolDrain() {
+      if (pool) pool->wait_idle();
+    }
+  } const pool_drain{backend.compute_pool()};
   // The backend's pool is the process compute pool for the run: every
   // kernel a stage payload calls (dock runs, ESMACS replicas, the NN layers,
   // chem featurization — the InMemorySource build in CampaignState::init

@@ -1,7 +1,6 @@
 #pragma once
 // Shared blocked/tiled SGEMM kernel — the one matrix multiply under every
-// dense and (via im2col) convolutional layer of the ML1 surrogate and the
-// 3D-AAE.
+// dense and convolutional layer of the ML1 surrogate and the 3D-AAE.
 //
 // Layout is row-major throughout. The kernel computes
 //     C (M×N) = alpha * op(A) * op(B) + beta * C
@@ -25,6 +24,17 @@
 // wider vectors change how many C columns one instruction updates, never
 // the IEEE multiply and add each element sees: the bits do not depend on
 // the ISA.
+//
+// Implicit-GEMM convolution: conv3x3_gemm runs the same tile with B
+// addressed differently (a template parameter of the tile: row stride for
+// gemm, tap offsets for the conv). Row k = ci·9 + di·3 + dj of a 3x3
+// convolution's column matrix is the zero-bordered image shifted by the
+// tap, so the kernel pads each image once and reads every tap straight from
+// it through a per-tap offset table instead of unfolding the 9×-sized
+// column matrix. A vector never straddles two image rows: widths that are a
+// multiple of 4 run tiles across rows with the widest vector that divides
+// the width, other widths run row by row with narrower tiles and then
+// scalar columns.
 //
 // Determinism contract: every C element sees beta scaling, then
 // c += (alpha·a[k])·b[k][j] for k ascending, whatever ISA variant, tile,
@@ -64,6 +74,22 @@ std::vector<GemmIsa> gemm_isas();
 void gemm_on(GemmIsa isa, Trans ta, Trans tb, int M, int N, int K,
              float alpha, const float* A, int lda, const float* B, int ldb,
              float beta, float* C, int ldc);
+
+/// One image of a 3x3 same-padding, stride-1 convolution as an implicit
+/// GEMM: y (cout × h·w) += weight (cout × 9·cin, the (Cout, Cin, 3, 3)
+/// layout) · the column matrix of x (cin × h × w), whose row
+/// k = ci·9 + di·3 + dj holds x shifted by the tap (di - 1, dj - 1) with
+/// zeros outside the image. Same order contract as gemm with alpha = beta =
+/// 1: every output sees its prior value (the caller's bias), then
+/// += w[k]·x_k for k ascending, bitwise equal to gemm_naive over an
+/// explicit im2col. Counts 2·cout·h·w·9·cin into ml.gemm.flops.
+void conv3x3_gemm(int cout, int cin, int h, int w, const float* weight,
+                  const float* x, float* y);
+
+/// conv3x3_gemm() on a given variant; throws std::invalid_argument if the
+/// host cannot run it (tests and benches only).
+void conv3x3_gemm_on(GemmIsa isa, int cout, int cin, int h, int w,
+                     const float* weight, const float* x, float* y);
 
 /// Naive triple-loop reference (tests and benches only).
 void gemm_naive(Trans ta, Trans tb, int M, int N, int K, float alpha,

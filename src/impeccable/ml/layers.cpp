@@ -9,7 +9,6 @@
 
 #include "impeccable/common/thread_pool.hpp"
 #include "impeccable/ml/gemm.hpp"
-#include "impeccable/ml/scratch.hpp"
 
 namespace impeccable::ml {
 
@@ -140,57 +139,41 @@ Tensor Sigmoid::backward(const Tensor& grad_out) {
 
 namespace {
 
-/// Floats of a zero-bordered copy of one (cin, h, w) image: one
-/// (h + 2) × (w + 2) plane per channel.
-std::size_t padded_size(int cin, int h, int w) {
-  return static_cast<std::size_t>(cin) * (h + 2) * (w + 2);
-}
-
-/// Copy one image (cin, h, w) into `pad` with a one-pixel zero border.
-void pad3x3(const float* x, int cin, int h, int w, float* pad) {
+/// Unfold one image (cin, h, w) into the (cin*9) × (h*w) column matrix of
+/// the 3x3 same-padding convolution. Row k = ci*9 + (di+1)*3 + (dj+1) holds
+/// the input shifted by (di, dj), zero outside the image — the k index
+/// matches the (Cout, Cin, 3, 3) weight layout flattened per output
+/// channel. Only backward unfolds: dW needs the column matrix itself.
+void im2col3x3(const float* x, int cin, int h, int w, float* col) {
   const std::size_t hw = static_cast<std::size_t>(h) * w;
-  const std::size_t pw = static_cast<std::size_t>(w) + 2;
-  const std::size_t pplane = (static_cast<std::size_t>(h) + 2) * pw;
-  std::fill(pad, pad + padded_size(cin, h, w), 0.0f);
-  for (int ci = 0; ci < cin; ++ci)
-    for (int i = 0; i < h; ++i) {
-      const float* src = x + ci * hw + static_cast<std::size_t>(i) * w;
-      std::copy(src, src + w, pad + ci * pplane + (i + 1) * pw + 1);
-    }
-}
-
-/// Unfold output rows [i0, i1) of a padded image (pad3x3) into a
-/// (cin*9) × ((i1 - i0)*w) column matrix for the 3x3 same-padding
-/// convolution. Row k = ci*9 + (di+1)*3 + (dj+1) holds the input shifted by
-/// (di, dj), zero-padded — the k index matches the (Cout, Cin, 3, 3) weight
-/// layout flattened per output channel. The zero border makes every row of
-/// `col` plain row copies with no edge cases.
-void im2col3x3(const float* pad, int cin, int h, int w, int i0, int i1,
-               float* col) {
-  const std::size_t pw = static_cast<std::size_t>(w) + 2;
-  const std::size_t pplane = (static_cast<std::size_t>(h) + 2) * pw;
-  const std::size_t cols = static_cast<std::size_t>(i1 - i0) * w;
   for (int ci = 0; ci < cin; ++ci) {
-    for (int di = 0; di < 3; ++di) {
-      for (int dj = 0; dj < 3; ++dj) {
-        const float* src = pad + ci * pplane + (i0 + di) * pw + dj;
-        float* row = col + static_cast<std::size_t>(ci * 9 + di * 3 + dj) * cols;
-        for (int i = 0; i < i1 - i0; ++i) {
-          const float* __restrict s = src + static_cast<std::size_t>(i) * pw;
-          float* __restrict d = row + static_cast<std::size_t>(i) * w;
+    const float* plane = x + static_cast<std::size_t>(ci) * hw;
+    for (int di = -1; di <= 1; ++di) {
+      for (int dj = -1; dj <= 1; ++dj) {
+        float* row = col + static_cast<std::size_t>(ci * 9 + (di + 1) * 3 +
+                                                    (dj + 1)) * hw;
+        // Columns [j0, j1) read the image; the one column a horizontal
+        // shift pushes off the edge is zero.
+        const int j0 = std::max(0, -dj), j1 = std::min(w, w - dj);
+        for (int i = 0; i < h; ++i) {
+          float* dst = row + static_cast<std::size_t>(i) * w;
+          const int ii = i + di;
+          if (ii < 0 || ii >= h || j0 >= j1) {
+            std::fill(dst, dst + w, 0.0f);
+            continue;
+          }
+          const float* __restrict s =
+              plane + static_cast<std::size_t>(ii) * w + (j0 + dj);
+          float* __restrict d = dst + j0;
 #pragma omp simd
-          for (int j = 0; j < w; ++j) d[j] = s[j];
+          for (int j = 0; j < j1 - j0; ++j) d[j] = s[j];
+          if (j0 > 0) dst[0] = 0.0f;
+          if (j1 < w) dst[w - 1] = 0.0f;
         }
       }
     }
   }
 }
-
-/// Column-matrix floats per block in Conv3x3 inference: the image is
-/// unfolded a few output rows at a time, so the block written and then
-/// multiplied stays cache-resident instead of streaming the whole unfolded
-/// image (9× the input) through memory, and fits one retained scratch slot.
-constexpr std::size_t kColBlockFloats = Scratch::kRetainFloats;
 
 /// Fold a (cin*9) × (h*w) gradient column matrix back into one image's
 /// (cin, h, w) input gradient, summing overlapping taps and dropping the
@@ -230,39 +213,22 @@ Tensor Conv3x3::apply(const Tensor& x) const {
     throw std::invalid_argument("Conv3x3::forward: bad input " + x.shape_string());
   const int n = x.dim(0), cin = x.dim(1), h = x.dim(2), w = x.dim(3);
   const int cout = weight.dim(0);
-  const int kdim = cin * 9;
   const std::size_t hw = static_cast<std::size_t>(h) * w;
   Tensor y({n, cout, h, w});
-  // Per image, a block of output rows at a time: Y_blk (cout × rows·w,
-  // row stride hw) = bias + W (cout × cin*9) · im2col(x_b, rows). Column
-  // blocking changes which GEMM call an output lands in, not its
-  // operations. The padded image and the block live in this thread's
-  // reused scratch: the per-image inference path allocates nothing here.
-  // Images write disjoint output slabs, so fanning out over the pool keeps
-  // results identical to the serial pass.
-  const int block_rows = static_cast<int>(std::max<std::size_t>(
-      1, kColBlockFloats / (static_cast<std::size_t>(kdim) * w)));
-  auto run_image = [&](std::size_t b) {
-    thread_local std::vector<float> pad_slot, col_slot;
-    Scratch pad_buf, col_buf;
-    float* pad = pad_buf.get(pad_slot, padded_size(cin, h, w));
-    float* col = col_buf.get(
-        col_slot, static_cast<std::size_t>(kdim) * std::min(block_rows, h) * w);
-    pad3x3(x.data() + b * cin * hw, cin, h, w, pad);
+  // Per image: Y_b (cout × h·w) = bias + W (cout × cin*9) · im2col(x_b), as
+  // one implicit GEMM that reads each tap straight from the padded image
+  // (conv3x3_gemm). Images write disjoint output slabs, so fanning out over
+  // the pool keeps results identical to the serial pass.
+  common::parallel_for(0, static_cast<std::size_t>(n), [&](std::size_t b) {
     float* yb = y.data() + b * cout * hw;
-    for (int co = 0; co < cout; ++co)
-      std::fill(yb + static_cast<std::size_t>(co) * hw,
-                yb + static_cast<std::size_t>(co + 1) * hw,
-                bias[static_cast<std::size_t>(co)]);
-    for (int i0 = 0; i0 < h; i0 += block_rows) {
-      const int i1 = std::min(h, i0 + block_rows);
-      im2col3x3(pad, cin, h, w, i0, i1, col);
-      gemm(Trans::No, Trans::No, cout, (i1 - i0) * w, kdim, 1.0f,
-           weight.data(), kdim, col, (i1 - i0) * w, 1.0f,
-           yb + static_cast<std::size_t>(i0) * w, static_cast<int>(hw));
+    for (int co = 0; co < cout; ++co) {
+      float* __restrict row = yb + static_cast<std::size_t>(co) * hw;
+      const float bv = bias[static_cast<std::size_t>(co)];
+#pragma omp simd
+      for (std::size_t p = 0; p < hw; ++p) row[p] = bv;
     }
-  };
-  common::parallel_for(0, static_cast<std::size_t>(n), run_image);
+    conv3x3_gemm(cout, cin, h, w, weight.data(), x.data() + b * cin * hw, yb);
+  });
   return y;
 }
 
@@ -296,10 +262,8 @@ Tensor Conv3x3::backward(const Tensor& grad_out) {
   // order so results never depend on the pool size:
   // dW += g_b · im2col(x_b)^T, db += row sums of g_b.
   std::vector<float> col(static_cast<std::size_t>(kdim) * hw);
-  std::vector<float> pad(padded_size(cin, h, w));
   for (std::size_t b = 0; b < static_cast<std::size_t>(n); ++b) {
-    pad3x3(input_.data() + b * cin * hw, cin, h, w, pad.data());
-    im2col3x3(pad.data(), cin, h, w, 0, h, col.data());
+    im2col3x3(input_.data() + b * cin * hw, cin, h, w, col.data());
     const float* gb = grad_out.data() + b * cout * hw;
     gemm(Trans::No, Trans::Yes, cout, kdim, static_cast<int>(hw), 1.0f, gb,
          static_cast<int>(hw), col.data(), static_cast<int>(hw), 1.0f,

@@ -1,7 +1,7 @@
 #pragma once
 // Per-thread float scratch for the inference kernels (GEMM operand packs,
-// Conv3x3's padded image and column block), so the per-image path reuses
-// its buffers instead of allocating and zero-filling new ones per image.
+// the implicit-GEMM convolution's padded image), so the per-image path
+// reuses its buffers instead of allocating new ones per image.
 //
 // A call site owns one `thread_local std::vector<float>` slot and leases it
 // through a Scratch for the duration of one kernel call. Requests above
@@ -18,8 +18,11 @@ namespace impeccable::ml {
 
 class Scratch {
  public:
-  /// Largest buffer a slot keeps between calls: 16 Ki floats (64 KB), the
-  /// surrogate's largest per-image scratch (a Conv3x3 column block).
+  /// Largest buffer a slot keeps between calls: 16 Ki floats (64 KB). The
+  /// surrogate's largest per-image scratch is conv1's zero-bordered input,
+  /// 4·34·34 = 4,624 floats at 32×32 images, so images up to about 62×62
+  /// stay allocation-free while a training GEMM's operand packs do not
+  /// stay resident.
   static constexpr std::size_t kRetainFloats = std::size_t{1} << 14;
 
   /// At least `n` floats, contents left over from earlier calls: `slot`,

@@ -1,12 +1,14 @@
 // Execution engine v2 tests: work-stealing pool semantics (nesting, stealing,
 // exceptions, lifecycle), the one compute-pool channel (MultiCampaign::run
-// installs the backend's pool and restores the previous one on every exit)
+// installs the backend's pool, restores the previous one on every exit and
+// lets no pool job outlive its recorder)
 // and the end-to-end determinism contract — dock(), TIES, DeepDriveMD and NN
 // training must produce identical results whatever compute pool is installed.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <stdexcept>
@@ -353,7 +355,56 @@ core::ScienceConfig one_pass_science() {
   return sci;
 }
 
+/// A LocalBackend whose clock takes 20 ms whenever a pool worker reads it.
+/// MultiCampaign::run wires its recorder's clock to the backend's, so a pool
+/// job that starts inside run() spends 20 ms in its pool:job span's clock
+/// read — long enough that a run() which does not wait for the job returns
+/// (and destroys its recorder) first.
+class SlowWorkerClockBackend : public rct::LocalBackend {
+ public:
+  explicit SlowWorkerClockBackend(std::size_t threads)
+      : LocalBackend(threads), caller_(std::this_thread::get_id()) {}
+
+  double now() override {
+    if (std::this_thread::get_id() == caller_) return LocalBackend::now();
+    entered.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const double t = LocalBackend::now();
+    left.fetch_add(1);
+    return t;
+  }
+
+  std::atomic<int> entered{0}, left{0};
+
+ private:
+  std::thread::id caller_;
+};
+
 }  // namespace
+
+TEST(ExecEngine, MultiCampaignClosesPoolJobsBeforeItsRecorderDies) {
+  // A failing run: CampaignState::init featurizes the library over the
+  // backend's pool, which leaves parallel_for helper tickets behind, then
+  // throws on the missing checkpoint and unwinds run()'s private recorder.
+  // A ticket a worker took meanwhile is inside its span's clock read; run()
+  // must wait for it (under ASan a late one is a stack-use-after-scope in
+  // Recorder::now). A run whose tickets all started after it returned
+  // proves nothing, so repeat until one started inside it.
+  SlowWorkerClockBackend backend(2);
+  core::ExecConfig resume;
+  resume.resume_checkpoint = tmp_path("imp_late_ticket_missing.csv").string();
+  std::filesystem::remove(resume.resume_checkpoint);
+  for (int attempt = 0; attempt < 20 && backend.entered.load() == 0;
+       ++attempt) {
+    core::MultiCampaign failing(resume);
+    failing.add_target(core::Target::make("LATE", 3, 30, 15),
+                       one_pass_science());
+    EXPECT_THROW(failing.run(backend), std::runtime_error);
+    EXPECT_EQ(backend.left.load(), backend.entered.load())
+        << "a pool job was still reading run()'s recorder after it returned";
+  }
+  EXPECT_GT(backend.entered.load(), 0);
+}
 
 TEST(ExecEngine, MultiCampaignRestoresInstalledPoolOnReturnAndThrow) {
   ic::ThreadPool outer(1);

@@ -1,14 +1,13 @@
 // Blocked GEMM tests: exhaustive small-shape equivalence against the naive
 // reference (all transpose combinations, non-multiple-of-tile shapes,
 // alpha/beta variants), bitwise equality with the naive reference on every
-// ISA variant the host runs and across pool sizes, Conv3x3 bitwise against
-// naive im2col + GEMM, and a Dense layer gradient-check regression over the
-// GEMM-backed forward/backward.
+// ISA variant the host runs and across pool sizes, Conv3x3's implicit GEMM
+// bitwise against naive im2col + GEMM on every ISA variant, and a Dense
+// layer gradient-check regression over the GEMM-backed forward/backward.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -172,45 +171,97 @@ TEST(Gemm, BitwiseEqualsNaive) {
   }
 }
 
-TEST(Gemm, Conv3x3BitwiseEqualsIm2colNaive) {
-  // Conv3x3 unfolds each image a block of output rows at a time from a
-  // zero-bordered copy. Against a full naive im2col (padding taps included
-  // as explicit zeros) and gemm_naive, infer() and forward() are equal byte
-  // for byte: 24×21 is blocked with a ragged last block and ragged rows.
-  for (const auto& [cin, cout, h, w] :
-       {std::array<int, 4>{4, 6, 24, 21}, std::array<int, 4>{4, 8, 32, 32},
-        std::array<int, 4>{3, 5, 1, 1}}) {
-    ic::Rng rng(static_cast<std::uint64_t>(cin * 1000 + h));
-    ml::Conv3x3 conv(cin, cout, rng);
-    for (std::size_t i = 0; i < conv.bias.size(); ++i)
-      conv.bias[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
-    const int n = 2, kdim = cin * 9, hw = h * w;
-    const ml::Tensor x = ml::Tensor::randn({n, cin, h, w}, rng, 1.0f);
-    std::vector<float> ref(static_cast<std::size_t>(n) * cout * hw);
-    std::vector<float> col(static_cast<std::size_t>(kdim) * hw);
-    for (int b = 0; b < n; ++b) {
-      for (int ci = 0; ci < cin; ++ci)
-        for (int di = -1; di <= 1; ++di)
-          for (int dj = -1; dj <= 1; ++dj)
-            for (int i = 0; i < h; ++i)
-              for (int j = 0; j < w; ++j) {
-                const int ii = i + di, jj = j + dj;
-                col[static_cast<std::size_t>(ci * 9 + (di + 1) * 3 + dj + 1) * hw +
-                    i * w + j] = ii < 0 || ii >= h || jj < 0 || jj >= w
-                                     ? 0.0f
-                                     : x.at(b, ci, ii, jj);
-              }
-      float* yb = ref.data() + static_cast<std::size_t>(b) * cout * hw;
-      for (int co = 0; co < cout; ++co)
-        std::fill(yb + co * hw, yb + (co + 1) * hw,
-                  conv.bias[static_cast<std::size_t>(co)]);
-      ml::gemm_naive(ml::Trans::No, ml::Trans::No, cout, hw, kdim, 1.0f,
-                     conv.weight.data(), kdim, col.data(), hw, 1.0f, yb, hw);
-    }
-    for (const ml::Tensor& y : {conv.infer(x), conv.forward(x)})
-      ASSERT_EQ(std::memcmp(ref.data(), y.data(), ref.size() * sizeof(float)), 0)
-          << "cin=" << cin << " h=" << h << " w=" << w;
+namespace {
+
+/// Conv3x3 of x (n, cin, h, w) the slow way: an explicit im2col (padding
+/// taps as literal zeros, row k = ci·9 + (di+1)·3 + (dj+1)), then
+/// gemm_naive over the bias-filled output, image by image.
+std::vector<float> naive_conv(const ml::Conv3x3& conv, const ml::Tensor& x) {
+  const int n = x.dim(0), cin = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const int cout = conv.weight.dim(0), kdim = cin * 9, hw = h * w;
+  std::vector<float> ref(static_cast<std::size_t>(n) * cout * hw);
+  std::vector<float> col(static_cast<std::size_t>(kdim) * hw);
+  for (int b = 0; b < n; ++b) {
+    for (int ci = 0; ci < cin; ++ci)
+      for (int di = -1; di <= 1; ++di)
+        for (int dj = -1; dj <= 1; ++dj)
+          for (int i = 0; i < h; ++i)
+            for (int j = 0; j < w; ++j) {
+              const int ii = i + di, jj = j + dj;
+              col[static_cast<std::size_t>(ci * 9 + (di + 1) * 3 + dj + 1) * hw +
+                  i * w + j] = ii < 0 || ii >= h || jj < 0 || jj >= w
+                                   ? 0.0f
+                                   : x.at(b, ci, ii, jj);
+            }
+    float* yb = ref.data() + static_cast<std::size_t>(b) * cout * hw;
+    for (int co = 0; co < cout; ++co)
+      std::fill(yb + co * hw, yb + (co + 1) * hw,
+                conv.bias[static_cast<std::size_t>(co)]);
+    ml::gemm_naive(ml::Trans::No, ml::Trans::No, cout, hw, kdim, 1.0f,
+                   conv.weight.data(), kdim, col.data(), hw, 1.0f, yb, hw);
   }
+  return ref;
+}
+
+/// A Conv3x3 with random weights and a random (non-zero) bias.
+ml::Conv3x3 random_conv(int cin, int cout, ic::Rng& rng) {
+  ml::Conv3x3 conv(cin, cout, rng);
+  for (std::size_t i = 0; i < conv.bias.size(); ++i)
+    conv.bias[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  return conv;
+}
+
+}  // namespace
+
+TEST(Gemm, Conv3x3BitwiseEqualsIm2colNaive) {
+  // Conv3x3 reads every tap straight from a zero-bordered copy of each
+  // image (an implicit GEMM). Against a full naive im2col (padding taps
+  // included as explicit zeros) and gemm_naive it is equal byte for byte:
+  // infer() and forward() (the host's ISA variant) at batch 1 and 3, and
+  // each ISA variant's kernel image by image. The grid pins the tap-offset
+  // table and every tile remainder: widths that are lane multiples run
+  // tiles across output rows, the others one row at a time with narrower
+  // tiles and scalar columns; 1 and 3 output channels take the leftover-row
+  // path, and 1×1 is all padding.
+  const std::vector<ml::GemmIsa> isas = ml::gemm_isas();
+  const int sizes[] = {1, 3, 5, 8, 12, 16, 17, 32};
+  for (const int h : sizes)
+    for (const int w : sizes)
+      for (const int cin : {1, 4, 16})
+        for (const int cout : {1, 3, 8, 16}) {
+          ic::Rng rng(static_cast<std::uint64_t>(((h * 64 + w) * 32 + cin) * 32 +
+                                                 cout));
+          ml::Conv3x3 conv = random_conv(cin, cout, rng);
+          const ml::Tensor x = ml::Tensor::randn({3, cin, h, w}, rng, 1.0f);
+          const std::vector<float> ref = naive_conv(conv, x);
+          const std::size_t img = static_cast<std::size_t>(cout) * h * w;
+          const std::size_t in = static_cast<std::size_t>(cin) * h * w;
+          const auto where = [&] {
+            return testing::Message() << "h=" << h << " w=" << w
+                                      << " cin=" << cin << " cout=" << cout;
+          };
+          ml::Tensor x1({1, cin, h, w});
+          std::copy(x.data(), x.data() + in, x1.data());
+          for (const ml::Tensor& y : {conv.infer(x1), conv.forward(x1)})
+            ASSERT_EQ(std::memcmp(ref.data(), y.data(), img * sizeof(float)), 0)
+                << where() << " batch 1";
+          for (const ml::Tensor& y : {conv.infer(x), conv.forward(x)})
+            ASSERT_EQ(std::memcmp(ref.data(), y.data(),
+                                  ref.size() * sizeof(float)), 0)
+                << where() << " batch 3";
+          std::vector<float> y(img);
+          for (const ml::GemmIsa isa : isas)
+            for (std::size_t b = 0; b < 3; ++b) {
+              for (int co = 0; co < cout; ++co)
+                std::fill(y.begin() + co * h * w, y.begin() + (co + 1) * h * w,
+                          conv.bias[static_cast<std::size_t>(co)]);
+              ml::conv3x3_gemm_on(isa, cout, cin, h, w, conv.weight.data(),
+                                  x.data() + b * in, y.data());
+              ASSERT_EQ(std::memcmp(ref.data() + b * img, y.data(),
+                                    img * sizeof(float)), 0)
+                  << where() << " " << ml::gemm_isa_name(isa) << " image " << b;
+            }
+        }
 }
 
 // ---------------------------------------------------------------- Dense

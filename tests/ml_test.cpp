@@ -519,9 +519,9 @@ TEST(Surrogate, PredictBatchBitwiseAcrossComputePoolSizes) {
 
 TEST(Surrogate, PredictBitsPinned) {
   // The surrogate's scores, pinned by an FNV-1a digest of their bits. The
-  // GEMM ISA variant the host dispatches to, the tile widths, im2col
-  // blocking and the branch-free layer kernels change how the work is
-  // done, never an IEEE operation or its order, so none may move a bit.
+  // GEMM ISA variant the host dispatches to, the tile widths, the implicit
+  // GEMM convolution and the branch-free layer kernels change how the work
+  // is done, never an IEEE operation or its order, so none may move a bit.
   // The digest is the value of a baseline-ISA, scalar-layer build.
   const std::vector<chem::Image> images = predict_images();
   ml::SurrogateOptions opts;
